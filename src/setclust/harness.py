@@ -9,6 +9,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -62,7 +63,8 @@ def make_oracle(config: ExperimentConfig, data: EmbeddedDataset,
 
 def generate_constraints(data: EmbeddedDataset, oracle, k: int, seed: int,
                          m_max: int = constraints.DEFAULT_M_MAX,
-                         max_cl_sets: int | None = "auto") -> ConstraintCollection:
+                         max_cl_sets: int | Literal["auto"] | None = "auto",
+                         ) -> ConstraintCollection:
     """Stage 1: grid-driven ML candidates, thresholds, and radius-gated CL sets.
 
     ``max_cl_sets`` defaults to k, which bounds the membership-query budget

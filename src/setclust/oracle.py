@@ -254,13 +254,11 @@ class RemoteOracle:
     Endpoint and key come from ORACLE_API_URL / ORACLE_API_KEY; each query is
     retried up to ``max_attempts`` times with exponential backoff, and an
     unparseable response after retries is an error, never silently dropped.
-    ``send`` is injectable for testing; at most ``max_in_flight`` requests run
-    concurrently.
+    ``send`` is injectable for testing. Queries are sent one at a time.
     """
 
     def __init__(self, model: str, temperature: float = 0.0, max_attempts: int = 3,
-                 backoff: float = 1.0, max_in_flight: int = 4,
-                 ledger: QueryLedger | None = None, send=None,
+                 backoff: float = 1.0, ledger: QueryLedger | None = None, send=None,
                  transcript_path: str | None = None):
         self.model = model
         self.temperature = temperature
@@ -268,7 +266,6 @@ class RemoteOracle:
         self.backoff = backoff
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._send = send if send is not None else self._http_send
-        self._gate = threading.Semaphore(max_in_flight)
         self.transcript_path = transcript_path
         self._transcript_lock = threading.Lock()
 
@@ -294,8 +291,7 @@ class RemoteOracle:
         for attempt in range(self.max_attempts):
             start = time.monotonic()
             try:
-                with self._gate:
-                    content = self._send(payload)
+                content = self._send(payload)
                 result = parse(content)
             except Exception as exc:  # noqa: BLE001 - retried, then surfaced
                 last_error = exc

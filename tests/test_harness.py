@@ -92,6 +92,14 @@ class TestGenerateConstraints:
         coll = harness.generate_constraints(blob_data, oracle, k=3, seed=0)
         assert len(coll.cl_sets) <= 3
 
+    def test_auto_cl_cap_is_k(self, blob_data):
+        colls = []
+        for cap in ("auto", 3):
+            oracle = harness.make_oracle(sim_config(), blob_data)
+            colls.append(harness.generate_constraints(blob_data, oracle, k=3, seed=0,
+                                                      max_cl_sets=cap))
+        assert colls[0] == colls[1]
+
     def test_deterministic(self, blob_data):
         colls = []
         for _ in range(2):

@@ -2,9 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import matching_brute_force, matching_brute_force_lex
+from setclust import matching
 from setclust.matching import min_cost_matching
+
+
+@st.composite
+def cost_matrices(draw):
+    """Small matrices: tie-heavy integers, uniform floats, or 0/1 entries
+    scaled to sit at either edge of the tie tolerance."""
+    rows = draw(st.integers(1, 4))
+    cols = rows if draw(st.booleans()) else draw(st.integers(rows, 5))
+    cells = rows * cols
+    kind = draw(st.sampled_from(["ties", "floats", "scaled"]))
+    if kind == "ties":
+        values = draw(st.lists(st.integers(0, 2), min_size=cells, max_size=cells))
+    elif kind == "floats":
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=cells, max_size=cells))
+    else:
+        scale = draw(st.sampled_from([1e-9, 1.0, 1e9]))
+        values = [scale * v for v in
+                  draw(st.lists(st.integers(0, 1), min_size=cells, max_size=cells))]
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
 
 
 class TestMinCostMatching:
@@ -65,3 +87,24 @@ class TestMinCostMatching:
                 keep = [q for q in range(4) if q != r]
                 sub = min_cost_matching(costs[keep])
                 assert sub.total_cost <= full.total_cost - costs[r, full.assignment[r]] + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(cost_matrices())
+    def test_property_matches_brute_force_lex(self, costs):
+        m = min_cost_matching(costs)
+        assert m.assignment == matching_brute_force_lex(costs)
+        assert m.total_cost == float(sum(costs[r, c] for r, c in enumerate(m.assignment)))
+
+    def test_tie_free_matrix_needs_one_solve(self, rng, monkeypatch):
+        solves = []
+        lsa = matching.linear_sum_assignment
+
+        def counting(costs):
+            solves.append(costs.shape)
+            return lsa(costs)
+
+        monkeypatch.setattr(matching, "linear_sum_assignment", counting)
+        costs = rng.random((20, 30))
+        m = min_cost_matching(costs)
+        assert solves == [(20, 30)]
+        assert m.assignment == tuple(lsa(costs)[1])
