@@ -8,9 +8,11 @@ updates until the centers stabilize.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from setclust.constraints import ConstraintCollection, MLSet
 from setclust.dataset import EmbeddedDataset
@@ -61,6 +63,24 @@ class Group:
 
 
 @dataclass
+class Groups:
+    """Blocks of points moved as one unit each, as flat arrays.
+
+    Block ``g`` is ``members[offsets[g]:offsets[g + 1]]`` in ascending order;
+    it is represented by its mass center ``centroids[g]`` and weighs its
+    member count.
+    """
+
+    members: np.ndarray
+    offsets: np.ndarray
+    centroids: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+
+@dataclass
 class ClusteringResult:
     labels: np.ndarray
     centers: np.ndarray
@@ -73,10 +93,71 @@ class ClusteringResult:
     min_gain_seen: float = field(default=np.inf)
 
 
-def _pdist(points: np.ndarray, centers: np.ndarray, squared: bool) -> np.ndarray:
-    """Distance of each point (rows) to each center (columns)."""
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2 if squared else np.sqrt(d2)
+# entries in the block of shifted points the distance kernel holds at once
+# (256 KB): its temporaries stay small and cache-resident for any input size
+_KERNEL_BLOCK = 1 << 15
+
+
+def center_dist(points: np.ndarray, centers: np.ndarray, squared: bool = True,
+                rows: np.ndarray | None = None) -> np.ndarray:
+    """Distance of each point (rows) to each center (columns); with
+    ``rows``, of each point ``points[rows]``, without copying them out.
+
+    Computed as ``|x|^2 - 2 x.c + |c|^2`` by matrix products over row
+    blocks of the points, after shifting both sides by the centers' mean so
+    that a large common offset does not cancel the distances away. Rounding
+    can leave a tiny negative square, so squares are clipped at 0;
+    coincident points need not read exactly 0.
+    """
+    shift = centers.mean(axis=0)
+    c = centers - shift
+    if rows is None:
+        rows = np.arange(points.shape[0])
+    d2 = np.empty((rows.size, centers.shape[0]))
+    step = max(1, _KERNEL_BLOCK // max(points.shape[1], 1))
+    for lo in range(0, rows.size, step):
+        p = points[rows[lo:lo + step]]
+        p -= shift
+        block = d2[lo:lo + step]
+        np.matmul(p, c.T, out=block)
+        block *= -2.0
+        block += np.einsum("ij,ij->i", p, p)[:, None]
+        del p  # before the next block is gathered, so only one is held
+    d2 += np.einsum("ij,ij->i", c, c)
+    np.maximum(d2, 0.0, out=d2)
+    return d2 if squared else np.sqrt(d2, out=d2)
+
+
+# index blocks as flat arrays: block i is members[offsets[i]:offsets[i + 1]]
+Blocks = tuple[np.ndarray, np.ndarray]
+
+
+def _flatten(blocks) -> Blocks:
+    """Concatenated members of a list of index lists, and their offsets."""
+    offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks)),
+              out=offsets[1:])
+    members = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64,
+                          count=int(offsets[-1]))
+    return members, offsets
+
+
+def _run_offsets(keys: np.ndarray) -> np.ndarray:
+    """Offsets of the runs of equal values in ``keys``, plus its length."""
+    if keys.size == 0:
+        return np.zeros(1, dtype=np.int64)
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
+
+
+def _segment_sums(points: np.ndarray, members: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sum of ``points[members]`` over each segment, in member order.
+
+    A sparse product with the blocks' 0/1 indicator matrix, so the member
+    rows are never copied out.
+    """
+    indicator = csr_array((np.ones(members.size), members, offsets),
+                          shape=(offsets.size - 1, points.shape[0]))
+    return indicator @ points
 
 
 def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
@@ -97,6 +178,7 @@ def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
     first = int(rng.choice(m, p=weights / weights.sum()))
     centers = [coords[first]]
     degenerate = False
+    # exact per-center differences, so a coincident point reads exactly 0
     d2 = ((coords - centers[0]) ** 2).sum(axis=1)
     while len(centers) < k:
         mass = weights * d2
@@ -139,18 +221,23 @@ def _merge_hard_sets(ml_sets: list[MLSet]) -> list[tuple[int, ...]]:
     return [tuple(sorted(v)) for _, v in sorted(groups.items())]
 
 
-def _soft_member_lists(ml_sets: list[MLSet], claimed: set[int]) -> list[list[int]]:
-    """Members of each soft set not already claimed by a hard block."""
-    out = []
+def _soft_members(ml_sets: list[MLSet], claimed: set[int]) -> Blocks:
+    """Members of each soft set not already claimed by a hard block or an
+    earlier soft set; sets left with fewer than 2 members are dropped.
+    Flattened once here, for every grouping round of a run to reuse.
+    """
+    members: list[int] = []
+    offsets = [0]
     taken = set(claimed)
     for s in ml_sets:
         if s.hard:
             continue
-        members = [m for m in s.members if m not in taken]
-        if len(members) >= 2:
-            out.append(members)
-            taken.update(members)
-    return out
+        kept = [m for m in s.members if m not in taken]
+        if len(kept) >= 2:
+            members.extend(kept)
+            offsets.append(len(members))
+            taken.update(kept)
+    return np.array(members, dtype=np.int64), np.array(offsets, dtype=np.int64)
 
 
 def _partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarray,
@@ -159,19 +246,17 @@ def _partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndar
 
     Merging two partitions is accepted when the kept-split cost plus the
     per-point penalties exceeds the cost of assigning the merged block to the
-    center nearest its mass center. Passes repeat until none merges.
+    center nearest its mass center. Passes repeat until none merges. This is
+    the set-by-set reference for ``build_groups``, which runs the same passes
+    over every soft set at once.
     """
-    sub = points[members]
-    near = np.argmin(_pdist(sub, centers, squared), axis=1)
-    parts: list[list[int]] = []
-    for cid in sorted(set(near.tolist())):
-        parts.append([members[i] for i in range(len(members)) if near[i] == cid])
+    near = np.argmin(center_dist(points[members], centers, squared), axis=1)
+    parts = [[m for m, c in zip(members, near) if c == cid]
+             for cid in sorted(set(near.tolist()))]
 
-    def centroid(p: list[int]) -> np.ndarray:
-        return points[p].mean(axis=0)
-
-    def center_cost(x: np.ndarray) -> tuple[int, float]:
-        d = _pdist(x[None, :], centers, squared)[0]
+    def nearest(part: list[int]) -> tuple[int, float]:
+        """Center nearest the part's mass center, and its cost."""
+        d = center_dist(points[part].mean(axis=0)[None, :], centers, squared)[0]
         c = int(np.argmin(d))
         return c, float(d[c])
 
@@ -180,37 +265,173 @@ def _partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndar
         changed = False
         order = sorted(range(len(parts)), key=lambda t: (-len(parts[t]), t))
         alive: list[list[int] | None] = list(parts)
-        for pos, a in enumerate(order):
-            if alive[a] is None:
-                continue
+        # nearest cost of each live part, updated when a merge changes it
+        cost = [nearest(p)[1] for p in parts]
+        for a in order:
             for b in order:
-                if b == a or alive[b] is None or alive[a] is None:
+                if b == a or alive[a] is None or alive[b] is None:
                     continue
                 pa, pb = alive[a], alive[b]
-                _, da = center_cost(centroid(pa))
-                _, db = center_cost(centroid(pb))
                 union = pa + pb
-                cij, _ = center_cost(centroid(union))
-                merged_cost = float(_pdist(points[union], centers[cij][None, :], squared).sum())
-                if (w_ml + db) * len(pb) + (w_ml + da) * len(pa) > merged_cost:
-                    alive[a] = pa + pb
-                    alive[b] = None
+                cij, union_cost = nearest(union)
+                merged_cost = float(center_dist(points[union], centers[cij][None, :],
+                                                squared).sum())
+                if (w_ml + cost[b]) * len(pb) + (w_ml + cost[a]) * len(pa) > merged_cost:
+                    alive[a], alive[b], cost[a] = union, None, union_cost
                     changed = True
         parts = [p for p in alive if p is not None]
     return parts
 
 
-def build_groups(points: np.ndarray, hard_blocks: list[tuple[int, ...]],
-                 soft_lists: list[list[int]], centers: np.ndarray,
-                 w_ml: float, squared: bool) -> list[Group]:
-    """Hard blocks pass through; soft sets are partitioned and merge-tested."""
-    groups = [Group(members=b, centroid=points[list(b)].mean(axis=0), weight=len(b))
-              for b in hard_blocks]
-    for members in soft_lists:
-        for part in _partition_soft_set(points, members, centers, w_ml, squared):
-            groups.append(Group(members=tuple(sorted(part)),
-                                centroid=points[part].mean(axis=0), weight=len(part)))
-    return groups
+def _merge_parts(sums: np.ndarray, cost_to: np.ndarray, size: np.ndarray,
+                 part_set: np.ndarray, centers: np.ndarray, w_ml: float,
+                 squared: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The part each part ends up in after ``_partition_soft_set``'s merge
+    passes, run in lockstep over every set split two or more ways, and the
+    coordinate sums with each surviving part's absorbed parts added in.
+
+    Per part: the sum of its members' coordinates, their summed cost to each
+    center, its size, and its set (a set's parts are adjacent, in the order
+    of their nearest center); ``sums`` and ``cost_to`` are updated in place.
+    Step ``(i, j)`` of a pass tests, in every set at once, whether the set's
+    ``i``-th part in pass order absorbs its ``j``-th, so a test needs no pass
+    over members.
+    """
+    n = size.size
+    # entry n is a dead part that pads sets with fewer parts than the widest
+    size = np.r_[size, 0]
+    alive = np.r_[np.ones(n, dtype=bool), False]
+    root = np.arange(n + 1)
+    bounds = _run_offsets(part_set)
+    first, count = bounds[:-1], np.diff(bounds)
+    first, count = first[count >= 2], count[count >= 2]
+    if first.size == 0:
+        return root[:n], sums
+    width = int(count.max())
+    cols = np.arange(width)
+    slots = np.where(cols < count[:, None], first[:, None] + cols, n)
+    near = np.zeros(n + 1)  # cost from each part's mass center to its nearest center
+    split = slots[slots < n]
+    near[split] = center_dist(sums[split] / size[split, None], centers, squared).min(axis=1)
+    running = np.ones(first.size, dtype=bool)
+    while running.any():
+        rows = np.flatnonzero(running)
+        # pass order: live parts by decreasing size, then by index; dead ones last
+        live = slots[rows]
+        order = np.take_along_axis(
+            live, np.argsort(np.where(alive[live], -size[live], 1), axis=1, kind="stable"), axis=1)
+        changed = np.zeros(rows.size, dtype=bool)
+        for i, j in itertools.permutations(range(width), 2):
+            a, b = order[:, i], order[:, j]
+            active = np.flatnonzero(alive[a] & alive[b])
+            if active.size == 0:
+                continue
+            a, b = a[active], b[active]
+            union_size = size[a] + size[b]
+            union_sum = sums[a] + sums[b]
+            d = center_dist(union_sum / union_size[:, None], centers, squared)
+            target = d.argmin(axis=1)
+            merged_cost = cost_to[a, target] + cost_to[b, target]
+            merge = (w_ml + near[b]) * size[b] + (w_ml + near[a]) * size[a] > merged_cost
+            a, b = a[merge], b[merge]
+            size[a], sums[a] = union_size[merge], union_sum[merge]
+            near[a] = d[merge, target[merge]]
+            cost_to[a] += cost_to[b]
+            alive[b] = False
+            into = np.arange(n + 1)
+            into[b] = a
+            root = into[root]
+            changed[active[merge]] = True
+        running[rows] = changed & (alive[order].sum(axis=1) > 1)
+    return root[:n], sums
+
+
+def _soft_groups(points: np.ndarray, soft: Blocks, centers: np.ndarray, w_ml: float,
+                 squared: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Group label of each soft member, the part of its set it ends up in,
+    and the coordinate sum of each group by label.
+
+    Parts are numbered by (set, nearest center); a label is the number of
+    the part that absorbed the member's own part.
+    """
+    members, offsets = soft
+    set_of = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    dist = center_dist(points, centers, squared, rows=members)
+    key = set_of * centers.shape[0] + dist.argmin(axis=1)
+    # parts: the members of one set nearest one center
+    order = np.argsort(key, kind="stable")
+    part_off = _run_offsets(key[order])
+    size = np.diff(part_off)
+    cost_to = _segment_sums(dist, order, part_off)
+    del dist  # the largest array here; the merge passes need only the sums
+    root, sums = _merge_parts(_segment_sums(points, members[order], part_off), cost_to, size,
+                              set_of[order[part_off[:-1]]], centers, w_ml, squared)
+    label = np.empty(members.size, dtype=np.int64)
+    label[order] = np.repeat(root, size)
+    return label, sums
+
+
+def build_groups(points: np.ndarray, hard: Blocks, soft: Blocks, centers: np.ndarray,
+                 w_ml: float, squared: bool) -> Groups:
+    """Hard blocks pass through; soft sets are partitioned and merge-tested.
+
+    Gives the parts ``_partition_soft_set`` gives set by set, batched over
+    all soft sets: one kernel call finds every member's nearest center, a set
+    whose members share it stays one block, and the sets split two or more
+    ways run the merge passes in lockstep.
+    """
+    hard, hard_off = hard
+    n_hard = hard_off.size - 1
+    soft_label, soft_sums = _soft_groups(points, soft, centers, w_ml, squared)
+    members = np.concatenate([hard, soft[0]])
+    labels = np.concatenate([np.repeat(np.arange(n_hard), np.diff(hard_off)),
+                             n_hard + soft_label])
+    by_group = np.lexsort((members, labels))
+    members, labels = members[by_group], labels[by_group]
+    offsets = _run_offsets(labels)
+    sums = np.concatenate([_segment_sums(points, hard, hard_off),
+                           soft_sums[labels[offsets[n_hard:-1]] - n_hard]])
+    return Groups(members=members, offsets=offsets,
+                  centroids=sums / np.diff(offsets)[:, None])
+
+
+@dataclass
+class Start:
+    """Seeded centers and their grouping, where the constrained loop starts,
+    plus the ML blocks every later grouping reuses."""
+
+    hard: Blocks
+    soft: Blocks
+    centers: np.ndarray
+    degenerate: bool
+    groups: Groups
+
+
+def seed_and_group(data: EmbeddedDataset, ml_sets: list[MLSet], penalties: Penalties,
+                   k: int, seed: int, squared: bool = True) -> Start:
+    """Seed centers with hard-ML representatives and group the ML sets
+    against them: the start of ``lsck_hc`` and ``lsck``."""
+    hard = _flatten(_merge_hard_sets(ml_sets))
+    soft = _soft_members(ml_sets, set(hard[0].tolist()))
+    centers, degenerate = _seed(data.points, hard, k, seed)
+    groups = build_groups(data.points, hard, soft, centers, penalties.w_ml, squared)
+    return Start(hard=hard, soft=soft, centers=centers, degenerate=degenerate, groups=groups)
+
+
+def _seed(X: np.ndarray, hard: Blocks, k: int, seed: int) -> tuple[np.ndarray, bool]:
+    """k-means++ over each hard block's mass center, weighted by its size,
+    and every point outside the hard blocks."""
+    members, offsets = hard
+    if members.size == 0:
+        return kmeanspp_seed(X, np.ones(X.shape[0]), k, seed)
+    sizes = np.diff(offsets)
+    free = np.ones(X.shape[0], dtype=bool)
+    free[members] = False
+    coords = np.empty((sizes.size + X.shape[0] - members.size, X.shape[1]))
+    coords[:sizes.size] = _segment_sums(X, members, offsets) / sizes[:, None]
+    np.compress(free, X, axis=0, out=coords[sizes.size:])
+    weights = np.concatenate([sizes, np.ones(X.shape[0] - members.size, dtype=np.int64)])
+    return kmeanspp_seed(coords, weights, k, seed)
 
 
 def ml_penalty_cluster(data: EmbeddedDataset, ml_sets: list[MLSet], penalties: Penalties,
@@ -221,39 +442,35 @@ def ml_penalty_cluster(data: EmbeddedDataset, ml_sets: list[MLSet], penalties: P
     Returns the resulting blocks (hard blocks plus merged soft partitions,
     singletons included) and the seeded center set.
     """
-    X = data.points
-    hard_blocks = _merge_hard_sets(ml_sets)
-    claimed = {m for b in hard_blocks for m in b}
-    soft_lists = _soft_member_lists(ml_sets, claimed)
-    coords = [points_mean for points_mean in (X[list(b)].mean(axis=0) for b in hard_blocks)]
-    weights = [len(b) for b in hard_blocks]
-    for i in range(data.n):
-        if i not in claimed:
-            coords.append(X[i])
-            weights.append(1)
-    centers, _ = kmeanspp_seed(np.vstack(coords), np.array(weights), k, seed)
-    groups = build_groups(X, hard_blocks, soft_lists, centers, penalties.w_ml, squared)
-    return groups, centers
+    start = seed_and_group(data, ml_sets, penalties, k, seed, squared)
+    g = start.groups
+    bounds = g.offsets.tolist()
+    blocks = [Group(members=tuple(g.members[lo:hi].tolist()), centroid=g.centroids[i],
+                    weight=hi - lo)
+              for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    return blocks, start.centers
 
 
 _GAIN_TOL = 1e-6
 
 
-def cl_local_search(elements: list[Group], cl_element_sets: list[list[int]],
+def cl_local_search(elements: tuple[np.ndarray, np.ndarray], cl_element_sets: list[list[int]],
                     centers: np.ndarray, w_cl: float, squared: bool = True,
                     gain_trace: list[float] | None = None) -> dict[int, int]:
     """Assign CL elements to centers by repeated min-cost matching.
 
-    For each set, the matching M pins every element to a distinct center.
-    Releasing element y re-matches the rest (M'); the release gain
-    g_y = cost(M) - cost(M') - cost(y, nearest center) is always nonnegative
-    and is compared against num_y * w_cl, where num_y counts the points whose
-    matched center changes plus the points y itself carries. The argmax
-    element is released to its nearest center until the gain no longer beats
-    the penalty, then M is committed. Matching costs and num_y are both
-    scaled by element weight, so w_cl stays a per-point penalty when an
-    element is a multi-point block.
+    ``elements`` holds the elements' mass centers (rows) and weights; the
+    sets index into them. For each set, the matching M pins every element to
+    a distinct center. Releasing element y re-matches the rest (M'); the
+    release gain g_y = cost(M) - cost(M') - cost(y, nearest center) is
+    always nonnegative and is compared against num_y * w_cl, where num_y
+    counts the points whose matched center changes plus the points y itself
+    carries. The argmax element is released to its nearest center until the
+    gain no longer beats the penalty, then M is committed. Matching costs and
+    num_y are both scaled by element weight, so w_cl stays a per-point
+    penalty when an element is a multi-point block.
     """
+    centroids, weights = elements
     assignment: dict[int, int] = {}
     k = centers.shape[0]
     for eset in cl_element_sets:
@@ -261,9 +478,8 @@ def cl_local_search(elements: list[Group], cl_element_sets: list[list[int]],
         if len(Y) > k:
             raise ValueError(f"CL set has {len(Y)} blocks but only {k} centers")
         while Y:
-            coords = np.vstack([elements[e].centroid for e in Y])
-            w = np.array([elements[e].weight for e in Y], dtype=np.float64)
-            costs = _pdist(coords, centers, squared) * w[:, None]
+            w = np.asarray(weights[Y], dtype=np.float64)
+            costs = center_dist(centroids[Y], centers, squared) * w[:, None]
             matching = min_cost_matching(costs)
             nearest_cols = np.argmin(costs, axis=1)
             gains = np.empty(len(Y))
@@ -285,7 +501,10 @@ def cl_local_search(elements: list[Group], cl_element_sets: list[list[int]],
                     gain_trace.append(g)
                 gains[pos] = max(g, 0.0)
                 nums[pos] = w[pos] + changed
-            star = int(np.argmax(gains))
+            # gains within the matching's tie tolerance are equal (two elements
+            # competing for one center tie exactly); the lowest index wins
+            tie = 1e-9 * (1.0 + abs(matching.total_cost))
+            star = int(np.flatnonzero(gains >= gains.max() - tie)[0])
             if gains[star] < nums[star] * w_cl:
                 for q, e in enumerate(Y):
                     assignment[e] = int(matching.assignment[q])
@@ -295,41 +514,38 @@ def cl_local_search(elements: list[Group], cl_element_sets: list[list[int]],
     return assignment
 
 
-def _constrained_assign(X: np.ndarray, hard_blocks, soft_lists, cl_sets,
-                        centers: np.ndarray, pen: Penalties, squared: bool,
-                        gain_trace: list[float] | None = None,
-                        ) -> tuple[list[Group], dict[int, int]]:
-    """One full constrained assignment round against a fixed center set."""
-    groups = build_groups(X, hard_blocks, soft_lists, centers, pen.w_ml, squared)
-    claimed = {m: gi for gi, g in enumerate(groups) for m in g.members}
-    elements = list(groups)
-    point_elem: dict[int, int] = dict(claimed)
-    for i in range(X.shape[0]):
-        if i not in point_elem:
-            point_elem[i] = len(elements)
-            elements.append(Group(members=(i,), centroid=X[i], weight=1))
+def _assign(X: np.ndarray, groups: Groups, cl_sets, centers: np.ndarray, pen: Penalties,
+            squared: bool, gain_trace: list[float] | None = None) -> np.ndarray:
+    """Labels of one constrained assignment round against fixed centers.
+
+    An element is a group or a point outside every group. Elements of CL
+    sets are placed by the CL local search; every other element goes to the
+    center nearest its mass center.
+    """
+    n_groups = groups.offsets.size - 1
+    # the element of each point: its group, or n_groups + i for a free point i
+    point_elem = np.arange(n_groups, n_groups + X.shape[0])
+    point_elem[groups.members] = np.repeat(np.arange(n_groups), groups.weights)
+    elem_center = np.concatenate([center_dist(groups.centroids, centers, squared).argmin(axis=1),
+                                  center_dist(X, centers, squared).argmin(axis=1)])
+    # CL sets over the elements they touch, which get rows 0, 1, ... in order
+    row: dict[int, int] = {}
     cl_element_sets = []
     for cl in cl_sets:
-        mapped = list(dict.fromkeys(point_elem[m] for m in cl.members))
-        if len(mapped) >= 2:
-            cl_element_sets.append(mapped)
-    assignment = cl_local_search(elements, cl_element_sets, centers, pen.w_cl,
+        elems = dict.fromkeys(point_elem[list(cl.members)].tolist())
+        if len(elems) >= 2:
+            cl_element_sets.append([row.setdefault(e, len(row)) for e in elems])
+    elem = np.fromiter(row, dtype=np.int64, count=len(row))
+    grouped = elem < n_groups
+    coords = np.empty((elem.size, X.shape[1]))
+    coords[grouped] = groups.centroids[elem[grouped]]
+    coords[~grouped] = X[elem[~grouped] - n_groups]
+    weights = np.ones(elem.size, dtype=np.int64)
+    weights[grouped] = groups.weights[elem[grouped]]
+    assignment = cl_local_search((coords, weights), cl_element_sets, centers, pen.w_cl,
                                  squared, gain_trace)
-    unassigned = [e for e in range(len(elements)) if e not in assignment]
-    if unassigned:
-        coords = np.vstack([elements[e].centroid for e in unassigned])
-        near = np.argmin(_pdist(coords, centers, squared), axis=1)
-        for e, c in zip(unassigned, near):
-            assignment[e] = int(c)
-    return elements, assignment
-
-
-def _expand(elements: list[Group], assignment: dict[int, int], n: int) -> np.ndarray:
-    labels = np.empty(n, dtype=np.int64)
-    for e, c in assignment.items():
-        for m in elements[e].members:
-            labels[m] = c
-    return labels
+    elem_center[elem[list(assignment)]] = list(assignment.values())
+    return elem_center[point_elem]
 
 
 def _update_centers(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -383,43 +599,32 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
     ml_sets = collection.ml_sets
     if not use_hard:
         ml_sets = [replace(s, hard=False) for s in ml_sets]
-    hard_blocks = _merge_hard_sets(ml_sets)
-    claimed = {m for b in hard_blocks for m in b}
-    soft_lists = _soft_member_lists(ml_sets, claimed)
-
-    coords = [X[list(b)].mean(axis=0) for b in hard_blocks]
-    weights = [len(b) for b in hard_blocks]
-    free = [i for i in range(data.n) if i not in claimed]
-    coords.extend(X[free])
-    weights.extend([1] * len(free))
-    centers, degenerate = kmeanspp_seed(np.vstack(coords), np.array(weights), k, seed)
+    start = seed_and_group(data, ml_sets, pen, k, seed, squared)
+    centers, groups = start.centers, start.groups
 
     gain_trace: list[float] = []
     iterations = 0
     converged = False
     for _ in range(conv.max_iters):
-        elements, assignment = _constrained_assign(
-            X, hard_blocks, soft_lists, collection.cl_sets, centers, pen, squared, gain_trace)
-        labels = _expand(elements, assignment, data.n)
+        labels = _assign(X, groups, collection.cl_sets, centers, pen, squared, gain_trace)
         new_centers = _update_centers(X, labels, centers)
         displacement = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
+        groups = build_groups(X, start.hard, start.soft, centers, pen.w_ml, squared)
         iterations += 1
         if displacement < tol:
             converged = True
             break
     # final assignment against the final centers, so the reported labels and
     # centers are mutually consistent
-    elements, assignment = _constrained_assign(
-        X, hard_blocks, soft_lists, collection.cl_sets, centers, pen, squared, gain_trace)
-    labels = _expand(elements, assignment, data.n)
+    labels = _assign(X, groups, collection.cl_sets, centers, pen, squared, gain_trace)
     return ClusteringResult(
         labels=labels,
         centers=centers,
         objective=_objective(X, labels, centers),
         iterations=iterations,
         converged=converged,
-        degenerate_seeding=degenerate,
+        degenerate_seeding=start.degenerate,
         penalties=pen,
         min_gain_seen=float(min(gain_trace)) if gain_trace else np.inf,
     )
@@ -451,7 +656,7 @@ def kmeans_baseline(data: EmbeddedDataset, k: int, seed: int,
     iterations = 0
     converged = False
     for _ in range(conv.max_iters):
-        labels = np.argmin(_pdist(X, centers, squared=True), axis=1)
+        labels = np.argmin(center_dist(X, centers), axis=1)
         new_centers = _update_centers(X, labels, centers)
         displacement = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
@@ -459,7 +664,7 @@ def kmeans_baseline(data: EmbeddedDataset, k: int, seed: int,
         if displacement < tol:
             converged = True
             break
-    labels = np.argmin(_pdist(X, centers, squared=True), axis=1)
+    labels = np.argmin(center_dist(X, centers), axis=1)
     return ClusteringResult(labels=labels, centers=centers,
                             objective=_objective(X, labels, centers),
                             iterations=iterations, converged=converged,

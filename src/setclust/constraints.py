@@ -355,21 +355,21 @@ def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int,
         raise ValueError("k >= 2 required")
     rng = np.random.default_rng(seed)
     X = data.points
-    uncovered = set(range(data.n))
+    uncovered = np.ones(data.n, dtype=bool)
     cl_sets: list[CLSet] = []
     rejections = 0
-    while uncovered:
+    while uncovered.any():
         if max_sets is not None and len(cl_sets) >= max_sets:
             break
-        seed_point = int(rng.choice(sorted(uncovered)))
+        seed_point = int(rng.choice(np.flatnonzero(uncovered)))
         members = [seed_point]
-        skipped: set[int] = {seed_point}
+        # uncovered points not yet probed for this set, and points farther
+        # than cost_kc from every member; eligible indices stay ascending
+        open_ = uncovered.copy()
+        open_[seed_point] = False
+        far = np.linalg.norm(X - X[seed_point], axis=1) > cost_kc
         while len(members) < k:
-            cand_idx = np.array(sorted(uncovered - skipped), dtype=np.int64)
-            if cand_idx.size == 0:
-                break
-            gaps = np.linalg.norm(X[cand_idx][:, None, :] - X[members][None, :, :], axis=2)
-            eligible = cand_idx[(gaps > cost_kc).all(axis=1)]
+            eligible = np.flatnonzero(open_ & far)
             if eligible.size == 0:
                 break
             cand = int(rng.choice(eligible))
@@ -382,10 +382,11 @@ def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int,
             verdict = oracle.query_cl_membership(query)
             if verdict.matched_index is None:
                 members.append(cand)
+                far &= np.linalg.norm(X - X[cand], axis=1) > cost_kc
             else:
                 rejections += 1
-            skipped.add(cand)
-        uncovered.difference_update(members)
+            open_[cand] = False
+        uncovered[members] = False
         if len(members) >= 2:
             cl_sets.append(CLSet(members=tuple(members)))
     return cl_sets, rejections

@@ -27,6 +27,13 @@ def sq_dist_scalar(a, b) -> float:
     return total
 
 
+def pdist_broadcast(points: np.ndarray, centers: np.ndarray, squared: bool) -> np.ndarray:
+    """Point-to-center distances by broadcasting exact differences
+    (an n x k x d temporary)."""
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return d2 if squared else np.sqrt(d2)
+
+
 def kcenter_brute_force(points: np.ndarray, k: int) -> float:
     """Optimal min-max k-center cost by enumerating every k-subset."""
     n = len(points)
@@ -176,6 +183,53 @@ def constraint_ri_pairs(ml_member_lists, cl_member_lists, truth) -> float:
             total += 1
             agree += truth[a] != truth[b]
     return 1.0 if total == 0 else agree / total
+
+
+# ---------------------------------------------------------------------------
+# constraint generation
+
+
+def generate_cl_sets_loop(data, oracle, cost_kc, k, seed, max_sets=None):
+    """Radius-gated CL growth that re-sorts the open candidates and measures
+    their gaps to every member on each probe; returns (sets, rejections)."""
+    from setclust.constraints import CLSet
+    from setclust.oracle import CLMembershipQuery
+
+    rng = np.random.default_rng(seed)
+    X = data.points
+    uncovered = set(range(data.n))
+    cl_sets = []
+    rejections = 0
+    while uncovered:
+        if max_sets is not None and len(cl_sets) >= max_sets:
+            break
+        seed_point = int(rng.choice(sorted(uncovered)))
+        members = [seed_point]
+        skipped = {seed_point}
+        while len(members) < k:
+            cand_idx = np.array(sorted(uncovered - skipped), dtype=np.int64)
+            if cand_idx.size == 0:
+                break
+            gaps = np.linalg.norm(X[cand_idx][:, None, :] - X[members][None, :, :], axis=2)
+            eligible = cand_idx[(gaps > cost_kc).all(axis=1)]
+            if eligible.size == 0:
+                break
+            cand = int(rng.choice(eligible))
+            query = CLMembershipQuery(
+                set_ids=tuple(members),
+                set_texts=tuple(data.text(m) for m in members),
+                candidate_id=cand,
+                candidate_text=data.text(cand),
+            )
+            if oracle.query_cl_membership(query).matched_index is None:
+                members.append(cand)
+            else:
+                rejections += 1
+            skipped.add(cand)
+        uncovered.difference_update(members)
+        if len(members) >= 2:
+            cl_sets.append(CLSet(members=tuple(members)))
+    return cl_sets, rejections
 
 
 # ---------------------------------------------------------------------------

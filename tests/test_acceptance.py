@@ -248,11 +248,11 @@ def test_criterion_10_scaling(capfd):
         data = generate_synthetic(
             SyntheticSpec(k_true=K, n=n, dim=DIM, separation=3.0, seed=1))
         ml = _label_true_constraints(data).ml_sets
-        clustering.ml_penalty_cluster(data, ml, Penalties(1.0, 1.0), K, seed=99)
+        clustering.seed_and_group(data, ml, Penalties(1.0, 1.0), K, seed=99)
         times = []
         for rep in range(5):
             start = time.perf_counter()
-            clustering.ml_penalty_cluster(data, ml, Penalties(1.0, 1.0),
+            clustering.seed_and_group(data, ml, Penalties(1.0, 1.0),
                                           K, seed=rep)
             times.append(time.perf_counter() - start)
         medians.append(float(np.median(times)))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from oracles import (
@@ -10,12 +12,15 @@ from oracles import (
     ALG2_TRACE_COMMIT_WCL,
     ALG2_TRACE_GAINS,
     ALG2_TRACE_RELEASE_WCL,
+    pdist_broadcast,
 )
 from setclust.clustering import (
     Convergence,
-    Group,
     Penalties,
+    _flatten,
     _partition_soft_set,
+    build_groups,
+    center_dist,
     cl_local_search,
     kmeans_baseline,
     kmeanspp_seed,
@@ -25,6 +30,45 @@ from setclust.clustering import (
     resolve_penalties,
 )
 from setclust.constraints import CLSet, ConstraintCollection, MLSet
+
+
+class TestCenterDist:
+    # tolerance fixed before the test was written: float64 rounding of the
+    # expansion stays within a few units in the last place of
+    # |x - m|^2 + |c - m|^2 (m the centers' mean) per coordinate, far below
+    # this bound
+    REL = 1e-12
+
+    def _bound(self, points, centers):
+        shift = centers.mean(axis=0)
+        return self.REL * (((points - shift) ** 2).sum(axis=1)[:, None]
+                           + ((centers - shift) ** 2).sum(axis=1)[None, :])
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_matches_broadcast(self, rng, offset):
+        points = rng.normal(size=(5000, 8)) + offset
+        centers = rng.normal(size=(7, 8)) + offset
+        got = center_dist(points, centers)
+        want = pdist_broadcast(points, centers, squared=True)
+        assert np.all(np.abs(got - want) <= self._bound(points, centers))
+        assert np.array_equal(got.argmin(axis=1), want.argmin(axis=1))
+        root = center_dist(points, centers, squared=False)
+        assert np.all(np.abs(root - np.sqrt(want)) <= np.sqrt(self._bound(points, centers)))
+
+    def test_rows_select_points(self, rng):
+        points = rng.normal(size=(50, 3))
+        centers = rng.normal(size=(4, 3))
+        rows = rng.permutation(50)[:20]
+        assert np.array_equal(center_dist(points, centers, rows=rows),
+                              center_dist(points[rows], centers))
+
+    def test_coincident_points_read_near_zero(self, rng):
+        centers = rng.normal(size=(5, 4)) * 3 + 1e6
+        points = np.vstack([centers, centers[::-1]])
+        got = center_dist(points, centers)
+        assert np.all(got >= 0.0)
+        coincident = got[np.arange(10), [0, 1, 2, 3, 4, 4, 3, 2, 1, 0]]
+        assert np.all(coincident <= self._bound(points, centers).max())
 
 
 class TestKmeansppSeed:
@@ -47,6 +91,12 @@ class TestKmeansppSeed:
         centers, degenerate = kmeanspp_seed(np.zeros((3, 2)), np.ones(3), 3, seed=0)
         assert degenerate
         assert centers.shape == (3, 2)
+
+    def test_degenerate_with_offset_duplicates(self, rng):
+        # exact differences: duplicates far from the origin still read 0
+        coords = np.repeat(rng.normal(size=(2, 8)) + 1e6, 3, axis=0)
+        _, degenerate = kmeanspp_seed(coords, np.ones(6), 3, seed=0)
+        assert degenerate
 
     def test_insufficient_weight(self):
         with pytest.raises(ValueError):
@@ -96,9 +146,33 @@ class TestSoftSetPartition:
             assert sorted(m for p in parts for m in p) == list(range(10))
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(0, 12), n_hard=st.integers(0, 3),
+       k=st.integers(1, 6), dim=st.integers(1, 4), w_ml=st.floats(0.0, 60.0),
+       squared=st.booleans())
+def test_batched_groups_match_set_by_set(seed, n_sets, n_hard, k, dim, w_ml, squared):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 9, size=n_sets)
+    ids = rng.permutation(int(sizes.sum()) + 3 * n_hard + 4).tolist()
+    points = rng.normal(size=(len(ids), dim)) * 3
+    centers = rng.normal(size=(k, dim)) * 3
+    hard = [tuple(sorted(ids[3 * i:3 * i + 3])) for i in range(n_hard)]
+    ends = np.cumsum(sizes) + 3 * n_hard
+    soft = [ids[end - size:end] for end, size in zip(ends, sizes)]
+    got = build_groups(points, _flatten(hard), _flatten(soft), centers, w_ml, squared)
+    bounds = got.offsets.tolist()
+    blocks = [tuple(got.members[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+    want = hard + [tuple(sorted(part)) for members in soft
+                   for part in _partition_soft_set(points, members, centers, w_ml, squared)]
+    assert sorted(blocks) == sorted(want)
+    assert got.weights.tolist() == [len(b) for b in blocks]
+    centroids = [points[list(b)].mean(axis=0) for b in blocks]
+    assert np.allclose(got.centroids, np.reshape(centroids, (len(blocks), dim)))
+
+
 def singleton_elements(coords):
-    return [Group(members=(i,), centroid=np.asarray(c, dtype=float), weight=1)
-            for i, c in enumerate(coords)]
+    coords = np.asarray(coords, dtype=float)
+    return coords, np.ones(len(coords), dtype=np.int64)
 
 
 class TestCLLocalSearch:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from oracles import threshold_linear_scan
+from oracles import generate_cl_sets_loop, threshold_linear_scan
 from setclust import geometry
 from setclust.constraints import (
     CLSet,
@@ -220,6 +220,22 @@ class TestGenerateCLSets:
         a, _ = generate_cl_sets(data, sim_oracle(data), cost_kc=1.0, k=4, seed=3)
         b, _ = generate_cl_sets(data, sim_oracle(data), cost_kc=1.0, k=4, seed=3)
         assert [s.members for s in a] == [s.members for s in b]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("max_sets", [None, 1, 3])
+    def test_same_sets_as_reference_loop(self, seed, max_sets):
+        # noisy labels, so both accepted and rejected probes occur
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 6, size=120)
+        pts = rng.normal(size=(120, 3)) + 4.0 * labels[:, None]
+        data = make_dataset(pts, labels=labels)
+        cost_kc = 2.0 + seed
+        got = generate_cl_sets(data, sim_oracle(data, p=0.1, seed=seed), cost_kc=cost_kc,
+                               k=6, seed=seed, max_sets=max_sets)
+        want = generate_cl_sets_loop(data, sim_oracle(data, p=0.1, seed=seed),
+                                     cost_kc, 6, seed, max_sets=max_sets)
+        assert [s.members for s in got[0]] == [s.members for s in want[0]]
+        assert got[1] == want[1]
 
 
 class TestConsolidateMLSets:
