@@ -38,7 +38,7 @@ def cmd_gen_constraints(args) -> int:
     data = load_dataset(args.corpus, args.embeddings)
     config = harness.ExperimentConfig(
         k=args.k, oracle_backend=args.oracle, oracle_error_rate=args.error_rate,
-        oracle_seed=args.oracle_seed, oracle_model=args.model, m_max=args.m_max)
+        oracle_seed=args.oracle_seed, oracle_model=args.model)
     oracle = harness.make_oracle(config, data, transcript_path=args.transcript)
     collection = harness.generate_constraints(data, oracle, args.k, args.seed,
                                               m_max=args.m_max)
@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-seed", type=int, default=0)
     p.add_argument("--model", default="", help="remote backend model name")
     p.add_argument("--m-max", type=int, default=constraints.DEFAULT_M_MAX)
-    p.add_argument("--transcript", default=None, help="JSONL transcript path")
+    p.add_argument("--transcript", default=None,
+                   help="JSONL path: one line per counted oracle query")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_constraints)
 

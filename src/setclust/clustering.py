@@ -17,6 +17,7 @@ from scipy.sparse import csr_array
 from setclust.constraints import ConstraintCollection, MLSet
 from setclust.dataset import EmbeddedDataset
 from setclust.matching import Matching, min_cost_matching
+from setclust.oracle import DisjointSets
 
 
 class InvariantError(AssertionError):
@@ -51,15 +52,6 @@ class Convergence:
             return self.tol
         spread = points.max(axis=0) - points.min(axis=0)
         return 1e-4 * float(spread @ spread)
-
-
-@dataclass
-class Group:
-    """A block of points moved as one unit, represented by its mass center."""
-
-    members: tuple[int, ...]
-    centroid: np.ndarray
-    weight: int
 
 
 @dataclass
@@ -193,32 +185,17 @@ def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
     return np.vstack(centers), degenerate
 
 
-def _merge_hard_sets(ml_sets: list[MLSet]) -> list[tuple[int, ...]]:
-    """Union-find merge of hard sets that share members (ML is transitive)."""
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for s in ml_sets:
-        if not s.hard:
-            continue
-        ids = list(s.members)
-        for i in ids:
-            parent.setdefault(i, i)
-        root = find(ids[0])
-        for i in ids[1:]:
-            r = find(i)
-            if r != root:
-                parent[max(r, root)] = min(r, root)
-                root = min(r, root)
-    groups: dict[int, list[int]] = {}
-    for i in parent:
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(sorted(v)) for _, v in sorted(groups.items())]
+def _merge_hard_sets(ml_sets: list[MLSet]) -> Blocks:
+    """Hard sets that share members merged into one block (ML is transitive),
+    blocks ordered by their smallest member."""
+    hard = [s.members for s in ml_sets if s.hard]
+    points = sorted({m for members in hard for m in members})
+    index = {p: i for i, p in enumerate(points)}
+    sets = DisjointSets(len(points))
+    for members in hard:
+        for m in members[1:]:
+            sets.union(index[members[0]], index[m])
+    return _flatten([[points[i] for i in g] for g in sets.groups()])
 
 
 def _soft_members(ml_sets: list[MLSet], claimed: set[int]) -> Blocks:
@@ -411,7 +388,7 @@ def seed_and_group(data: EmbeddedDataset, ml_sets: list[MLSet], penalties: Penal
                    k: int, seed: int, squared: bool = True) -> Start:
     """Seed centers with hard-ML representatives and group the ML sets
     against them: the start of ``lsck_hc`` and ``lsck``."""
-    hard = _flatten(_merge_hard_sets(ml_sets))
+    hard = _merge_hard_sets(ml_sets)
     soft = _soft_members(ml_sets, set(hard[0].tolist()))
     centers, degenerate = _seed(data.points, hard, k, seed)
     groups = build_groups(data.points, hard, soft, centers, penalties.w_ml, squared)
@@ -432,23 +409,6 @@ def _seed(X: np.ndarray, hard: Blocks, k: int, seed: int) -> tuple[np.ndarray, b
     np.compress(free, X, axis=0, out=coords[sizes.size:])
     weights = np.concatenate([sizes, np.ones(X.shape[0] - members.size, dtype=np.int64)])
     return kmeanspp_seed(coords, weights, k, seed)
-
-
-def ml_penalty_cluster(data: EmbeddedDataset, ml_sets: list[MLSet], penalties: Penalties,
-                       k: int, seed: int, squared: bool = True,
-                       ) -> tuple[list[Group], np.ndarray]:
-    """Seed centers with hard-ML representatives and group the ML sets.
-
-    Returns the resulting blocks (hard blocks plus merged soft partitions,
-    singletons included) and the seeded center set.
-    """
-    start = seed_and_group(data, ml_sets, penalties, k, seed, squared)
-    g = start.groups
-    bounds = g.offsets.tolist()
-    blocks = [Group(members=tuple(g.members[lo:hi].tolist()), centroid=g.centroids[i],
-                    weight=hi - lo)
-              for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-    return blocks, start.centers
 
 
 _GAIN_TOL = 1e-6

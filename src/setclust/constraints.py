@@ -13,7 +13,7 @@ import numpy as np
 
 from setclust.dataset import EmbeddedDataset
 from setclust.geometry import GridPartition
-from setclust.oracle import CLMembershipQuery, MLGroupQuery, consistency_repeat
+from setclust.oracle import CLMembershipQuery, DisjointSets, MLGroupQuery, consistency_repeat
 
 ALPHA_PAIR = 5
 ALPHA_SET = 10
@@ -63,14 +63,6 @@ class ConstraintCollection:
     cl_sets: list[CLSet] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     shortfall: bool = False
-
-    def constrained_points(self) -> set[int]:
-        points: set[int] = set()
-        for s in self.ml_sets:
-            points.update(s.members)
-        for s in self.cl_sets:
-            points.update(s.members)
-        return points
 
 
 def set_diameter(points: np.ndarray, members: tuple[int, ...]) -> float:
@@ -194,14 +186,7 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
             break
         reps = [min(members_of(s)) for s in current]
         rep_to_set = {rep: i for i, rep in enumerate(reps)}
-        merged_any = False
-        parent = list(range(len(current)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
+        sets = DisjointSets(len(current))
 
         def ask(ids: tuple[int, ...], repeats: int):
             query = MLGroupQuery(ids=ids, texts=tuple(data.text(i) for i in ids))
@@ -216,16 +201,9 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
             return responses[0].groups
 
         def merge(ids: tuple[int, ...], groups) -> None:
-            nonlocal merged_any
             for group in groups:
-                if len(group) < 2:
-                    continue
-                owners = [rep_to_set[ids[pos]] for pos in group]
-                for other in owners[1:]:
-                    ra, rb = find(owners[0]), find(other)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-                        merged_any = True
+                for pos in group[1:]:
+                    sets.union(rep_to_set[ids[group[0]]], rep_to_set[ids[pos]])
 
         segments = _cut_segments(data.points, _locality_order(data.points, reps),
                                  tau)
@@ -243,14 +221,11 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
             groups = ask(bridge, repeats=alpha)
             if groups is not None:
                 merge(bridge, groups)
-        if not merged_any:
+        merged = sets.groups()
+        if len(merged) == len(current):
             break
-        unions: dict[int, list[int]] = {}
-        for i in range(len(current)):
-            unions.setdefault(find(i), []).append(i)
         rebuilt = []
-        for root in sorted(unions):
-            group_sets = unions[root]
+        for group_sets in merged:
             if len(group_sets) == 1:
                 rebuilt.append(current[group_sets[0]])
                 continue

@@ -34,16 +34,6 @@ class GridPartition:
     cells: dict[tuple[int, int], list[int]]
 
 
-def sq_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance between two points of equal dimension."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(diff @ diff)
-
-
 def gonzalez_kcenter(data: EmbeddedDataset, k: int, seed: int,
                      first_index: int | None = None) -> KCenterResult:
     """Farthest-first traversal (2-approximation for min-max k-center).

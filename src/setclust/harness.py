@@ -32,7 +32,6 @@ class ExperimentConfig:
     oracle_seed: int = 0
     oracle_backend: str = "sim"
     oracle_model: str = ""
-    m_max: int = constraints.DEFAULT_M_MAX
     tol: float | None = None
     max_iters: int = 100
     mix_seed: int = 0
@@ -48,7 +47,7 @@ class ExperimentConfig:
 
 def make_oracle(config: ExperimentConfig, data: EmbeddedDataset,
                 transcript_path: str | None = None) -> SimulatedOracle | RemoteOracle:
-    ledger = QueryLedger(keep_transcripts=transcript_path is not None)
+    ledger = QueryLedger(transcript_path=transcript_path)
     if config.oracle_backend == "sim":
         labels = {r.id: r.label for r in data.records}
         if any(v is None for v in labels.values()):
@@ -56,8 +55,7 @@ def make_oracle(config: ExperimentConfig, data: EmbeddedDataset,
         return SimulatedOracle(labels, error_rate=config.oracle_error_rate,
                                seed=config.oracle_seed, ledger=ledger)
     if config.oracle_backend == "remote":
-        return RemoteOracle(model=config.oracle_model, ledger=ledger,
-                            transcript_path=transcript_path)
+        return RemoteOracle(model=config.oracle_model, ledger=ledger)
     raise ValueError(f"unknown oracle backend {config.oracle_backend!r}")
 
 

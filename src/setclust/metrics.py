@@ -4,6 +4,8 @@ agreement score of a constraint collection with ground truth.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -34,15 +36,26 @@ def acc_hungarian(pred, truth) -> float:
     return float(table[rows, cols].sum()) / pred.size
 
 
-def rand_index(pred, truth) -> float:
-    """Fraction of point pairs on which the two labelings agree."""
+def _pairs(counts: np.ndarray) -> np.ndarray:
+    """C(count, 2): the pairs inside groups of each count."""
+    return counts * (counts - 1) // 2
+
+
+def _pair_counts(pred, truth) -> tuple[float, float, float, float]:
+    """Point pairs together in both labelings, together in ``pred``,
+    together in ``truth``, and all pairs."""
     pred, truth = _as_labels(pred, truth)
     n = pred.size
     table = _contingency(pred, truth)
-    sum_ij = float((table * (table - 1) // 2).sum())
-    sum_a = float((table.sum(axis=1) * (table.sum(axis=1) - 1) // 2).sum())
-    sum_b = float((table.sum(axis=0) * (table.sum(axis=0) - 1) // 2).sum())
-    total = n * (n - 1) / 2
+    sum_ij = float(_pairs(table).sum())
+    sum_a = float(_pairs(table.sum(axis=1)).sum())
+    sum_b = float(_pairs(table.sum(axis=0)).sum())
+    return sum_ij, sum_a, sum_b, n * (n - 1) / 2
+
+
+def rand_index(pred, truth) -> float:
+    """Fraction of point pairs on which the two labelings agree."""
+    sum_ij, sum_a, sum_b, total = _pair_counts(pred, truth)
     if total == 0:
         return 1.0
     disagreements = sum_a + sum_b - 2 * sum_ij
@@ -51,13 +64,7 @@ def rand_index(pred, truth) -> float:
 
 def ari(pred, truth) -> float:
     """Adjusted Rand Index via the contingency-table formula."""
-    pred, truth = _as_labels(pred, truth)
-    n = pred.size
-    table = _contingency(pred, truth)
-    sum_ij = float((table * (table - 1) // 2).sum())
-    sum_a = float((table.sum(axis=1) * (table.sum(axis=1) - 1) // 2).sum())
-    sum_b = float((table.sum(axis=0) * (table.sum(axis=0) - 1) // 2).sum())
-    total = n * (n - 1) / 2
+    sum_ij, sum_a, sum_b, total = _pair_counts(pred, truth)
     if total == 0:
         return 1.0
     expected = sum_a * sum_b / total
@@ -97,23 +104,20 @@ def constraint_ri(collection, truth) -> float:
     set predicts different-class. Returns the consistent fraction over all
     implied pairs (counted per set occurrence); 1.0 for an empty collection.
     """
-    truth = np.asarray(truth, dtype=np.int64)
-    agree = 0
-    total = 0
-    for ml in collection.ml_sets:
-        members = list(ml.members)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                total += 1
-                if truth[members[a]] == truth[members[b]]:
-                    agree += 1
-    for cl in collection.cl_sets:
-        members = list(cl.members)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                total += 1
-                if truth[members[a]] != truth[members[b]]:
-                    agree += 1
+    sets = [s.members for s in collection.ml_sets] + [s.members for s in collection.cl_sets]
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
+                          count=int(sizes.sum()))
+    # same-class pairs per set: members keyed by (set, class), counts choose 2
+    _, label = np.unique(np.asarray(truth, dtype=np.int64)[members], return_inverse=True)
+    width = label.size + 1
+    keys, counts = np.unique(np.repeat(np.arange(len(sets)), sizes) * width + label,
+                             return_counts=True)
+    same = np.zeros(len(sets), dtype=np.int64)
+    np.add.at(same, keys // width, _pairs(counts))
+    pairs = _pairs(sizes)
+    total = int(pairs.sum())
     if total == 0:
         return 1.0
-    return agree / total
+    n_ml = len(collection.ml_sets)
+    return int(same[:n_ml].sum() + (pairs[n_ml:] - same[n_ml:]).sum()) / total

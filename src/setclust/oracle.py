@@ -1,6 +1,7 @@
 """Same-topic decision sources: a label-driven simulated oracle and a remote
 chat-completion backend. Both share the query ledger used for the
-query-efficiency accounting.
+query-efficiency accounting. The union-find here closes must-link verdicts
+transitively, for the oracle and for the constraint and clustering layers.
 """
 
 from __future__ import annotations
@@ -66,53 +67,84 @@ class CLMembershipResponse:
 
 @dataclass
 class QueryLedger:
-    """Monotone per-kind query counts plus an optional transcript."""
+    """Monotone per-kind query counts.
+
+    With ``transcript_path``, the file is truncated when the ledger is made
+    and every recorded query that carries an entry appends it as one JSON
+    line.
+    """
 
     ml_queries: int = 0
     cl_queries: int = 0
     consistency_queries: int = 0
-    transcripts: list[dict] = field(default_factory=list)
-    keep_transcripts: bool = False
+    transcript_path: str | None = None
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    def record(self, kind: str, count: int = 1, entry: dict | None = None) -> None:
+    def __post_init__(self):
+        if self.transcript_path is not None:
+            open(self.transcript_path, "w", encoding="utf-8").close()
+
+    def record(self, kind: str, entry: dict | None = None) -> None:
         with self._lock:
             if kind == "ml":
-                self.ml_queries += count
+                self.ml_queries += 1
             elif kind == "cl":
-                self.cl_queries += count
+                self.cl_queries += 1
             elif kind == "consistency":
-                self.consistency_queries += count
+                self.consistency_queries += 1
             else:
                 raise ValueError(f"unknown query kind {kind!r}")
-            if self.keep_transcripts and entry is not None:
-                self.transcripts.append(entry)
+            if self.transcript_path is not None and entry is not None:
+                with open(self.transcript_path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(entry) + "\n")
 
     @property
     def total(self) -> int:
         return self.ml_queries + self.cl_queries + self.consistency_queries
 
 
-def _groups_from_pairs(m: int, same) -> tuple[tuple[int, ...], ...]:
-    """Union-find transitive closure of pairwise same-topic verdicts."""
-    parent = list(range(m))
+class DisjointSets:
+    """Union-find over 0..n-1. A union keeps the lower root, so every set is
+    named by its smallest member."""
 
-    def find(a):
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        parent = self.parent
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of ``a`` and ``b``; False if they already were one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    def groups(self) -> list[list[int]]:
+        """Members of each set ascending, sets ordered by smallest member."""
+        groups: dict[int, list[int]] = {}
+        for i in range(len(self.parent)):
+            groups.setdefault(self.find(i), []).append(i)
+        return list(groups.values())
+
+
+def _groups_from_pairs(m: int, same) -> tuple[tuple[int, ...], ...]:
+    """Transitive closure of pairwise same-topic verdicts.
+
+    A pair already inside one component is not asked: its verdict cannot
+    change the closure.
+    """
+    sets = DisjointSets(m)
     for i in range(m):
         for j in range(i + 1, m):
-            if same(i, j):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(g) for _, g in sorted(groups.items()))
+            if sets.find(i) != sets.find(j) and same(i, j):
+                sets.union(i, j)
+    return tuple(tuple(g) for g in sets.groups())
 
 
 class SimulatedOracle:
@@ -155,8 +187,8 @@ class SimulatedOracle:
             len(query.ids),
             lambda i, j: self._same(query.ids[i], query.ids[j], repeat, context),
         )
-        self.ledger.record(kind, 1, {"kind": "ml", "ids": list(query.ids),
-                                     "groups": [list(g) for g in groups]})
+        self.ledger.record(kind, {"kind": "ml", "ids": list(query.ids), "repeat": repeat,
+                                  "groups": [list(g) for g in groups]})
         return MLGroupResponse(groups=groups)
 
     def query_cl_membership(self, query: CLMembershipQuery, repeat: int = 0,
@@ -167,8 +199,9 @@ class SimulatedOracle:
             if self._same(member, query.candidate_id, repeat, context):
                 matched = pos
                 break
-        self.ledger.record(kind, 1, {"kind": "cl", "set_ids": list(query.set_ids),
-                                     "candidate": query.candidate_id, "matched": matched})
+        self.ledger.record(kind, {"kind": "cl", "set_ids": list(query.set_ids),
+                                  "candidate": query.candidate_id, "repeat": repeat,
+                                  "matched": matched})
         return CLMembershipResponse(matched_index=matched)
 
 
@@ -254,20 +287,18 @@ class RemoteOracle:
     Endpoint and key come from ORACLE_API_URL / ORACLE_API_KEY; each query is
     retried up to ``max_attempts`` times with exponential backoff, and an
     unparseable response after retries is an error, never silently dropped.
-    ``send`` is injectable for testing. Queries are sent one at a time.
+    ``send`` is injectable for testing. Queries are sent one at a time; each
+    answered one goes to the ledger with its request, response and latency.
     """
 
     def __init__(self, model: str, temperature: float = 0.0, max_attempts: int = 3,
-                 backoff: float = 1.0, ledger: QueryLedger | None = None, send=None,
-                 transcript_path: str | None = None):
+                 backoff: float = 1.0, ledger: QueryLedger | None = None, send=None):
         self.model = model
         self.temperature = temperature
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._send = send if send is not None else self._http_send
-        self.transcript_path = transcript_path
-        self._transcript_lock = threading.Lock()
 
     def _http_send(self, payload: dict) -> str:
         url = os.environ.get("ORACLE_API_URL")
@@ -281,7 +312,7 @@ class RemoteOracle:
         resp.raise_for_status()
         return resp.json()["choices"][0]["message"]["content"]
 
-    def _chat(self, prompt: str, parse, context: dict):
+    def _chat(self, prompt: str, parse, kind: str, context: dict):
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -297,33 +328,23 @@ class RemoteOracle:
                 last_error = exc
                 time.sleep(self.backoff * 2**attempt if self.backoff else 0)
                 continue
-            self._log({**context, "request": payload, "response": content,
-                       "latency_ms": round(1000 * (time.monotonic() - start), 1)})
+            self.ledger.record(kind, {**context, "request": payload, "response": content,
+                                      "latency_ms": round(1000 * (time.monotonic() - start), 1)})
             return result
         raise OracleBackendError(
             f"backend failed after {self.max_attempts} attempts: {last_error}"
         ) from last_error
 
-    def _log(self, entry: dict) -> None:
-        if self.transcript_path is None:
-            return
-        with self._transcript_lock, open(self.transcript_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry) + "\n")
-
     def query_ml_group(self, query: MLGroupQuery, repeat: int = 0,
                        kind: str = "ml") -> MLGroupResponse:
         items = "\n".join(f"{i}. {t}" for i, t in enumerate(query.texts))
         prompt = ML_PROMPT.format(items=items)
-        result = self._chat(prompt, lambda c: parse_ml_response(c, len(query.ids)),
-                            {"kind": "ml", "ids": list(query.ids), "repeat": repeat})
-        self.ledger.record(kind, 1)
-        return result
+        return self._chat(prompt, lambda c: parse_ml_response(c, len(query.ids)), kind,
+                          {"kind": "ml", "ids": list(query.ids), "repeat": repeat})
 
     def query_cl_membership(self, query: CLMembershipQuery, repeat: int = 0,
                             kind: str = "cl") -> CLMembershipResponse:
         members = "\n".join(f"{i}. {t}" for i, t in enumerate(query.set_texts))
         prompt = CL_PROMPT.format(members=members, candidate=query.candidate_text)
-        result = self._chat(prompt, lambda c: parse_cl_response(c, len(query.set_ids)),
-                            {"kind": "cl", "candidate": query.candidate_id, "repeat": repeat})
-        self.ledger.record(kind, 1)
-        return result
+        return self._chat(prompt, lambda c: parse_cl_response(c, len(query.set_ids)), kind,
+                          {"kind": "cl", "candidate": query.candidate_id, "repeat": repeat})

@@ -19,14 +19,6 @@ import numpy as np
 # geometry
 
 
-def sq_dist_scalar(a, b) -> float:
-    """Squared Euclidean distance via an explicit scalar loop."""
-    total = 0.0
-    for x, y in zip(a, b, strict=True):
-        total += (float(x) - float(y)) ** 2
-    return total
-
-
 def pdist_broadcast(points: np.ndarray, centers: np.ndarray, squared: bool) -> np.ndarray:
     """Point-to-center distances by broadcasting exact differences
     (an n x k x d temporary)."""
@@ -230,6 +222,32 @@ def generate_cl_sets_loop(data, oracle, cost_kc, k, seed, max_sets=None):
         if len(members) >= 2:
             cl_sets.append(CLSet(members=tuple(members)))
     return cl_sets, rejections
+
+
+# ---------------------------------------------------------------------------
+# transitive closure
+
+
+def components_bfs(n: int, edges) -> list[list[int]]:
+    """Connected components of the undirected graph on 0..n-1 by
+    breadth-first search: members ascending, components by smallest member."""
+    neighbors: dict[int, set[int]] = {i: set() for i in range(n)}
+    for a, b in edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    seen: set[int] = set()
+    components = []
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        for node in queue:
+            for other in neighbors[node] - seen:
+                seen.add(other)
+                queue.append(other)
+        components.append(sorted(queue))
+    return components
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,25 @@ class TestDeterminism:
             assert path.read_bytes() == (res_b / path.name).read_bytes()
 
 
+class TestTranscript:
+    def test_simulated_transcript_has_one_line_per_query(self, workspace, tmp_path):
+        texts = []
+        for name in ("a", "b"):
+            path = tmp_path / f"t_{name}.jsonl"
+            cons = tmp_path / f"cons_{name}.json"
+            assert main(["gen-constraints", "--corpus", str(workspace / "corpus.jsonl"),
+                         "--embeddings", str(workspace / "emb.bin"), "--k", "3",
+                         "--seed", "0", "--transcript", str(path),
+                         "--out", str(cons)]) == 0
+            texts.append(path.read_bytes())
+        meta = json.loads(cons.read_text())["meta"]
+        lines = texts[0].decode().splitlines()
+        assert len(lines) == (meta["ml_queries"] + meta["cl_queries"]
+                              + meta["consistency_queries"])
+        assert all(isinstance(json.loads(line), dict) for line in lines)
+        assert texts[0] == texts[1]
+
+
 class TestErrors:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):

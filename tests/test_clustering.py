@@ -26,8 +26,8 @@ from setclust.clustering import (
     kmeanspp_seed,
     lsck,
     lsck_hc,
-    ml_penalty_cluster,
     resolve_penalties,
+    seed_and_group,
 )
 from setclust.constraints import CLSet, ConstraintCollection, MLSet
 
@@ -228,21 +228,25 @@ class TestCLLocalSearch:
             assert all(g >= -1e-9 for g in trace)
 
 
+def blocks(groups) -> list[tuple[int, ...]]:
+    bounds = groups.offsets.tolist()
+    return [tuple(groups.members[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+
+
 class TestMlPenaltyCluster:
     def test_hard_sets_become_blocks(self):
         data = make_dataset([[0.0], [0.1], [10.0], [10.1]])
         ml = [MLSet(members=(0, 1), hard=True), MLSet(members=(2, 3), hard=True)]
-        groups, centers = ml_penalty_cluster(data, ml, Penalties(1.0, 1.0),
-                                             k=2, seed=0)
-        assert sorted(g.members for g in groups) == [(0, 1), (2, 3)]
-        assert centers.shape == (2, 1)
+        start = seed_and_group(data, ml, Penalties(1.0, 1.0), k=2, seed=0)
+        assert sorted(blocks(start.groups)) == [(0, 1), (2, 3)]
+        assert start.centers.shape == (2, 1)
 
     def test_overlapping_hard_sets_merge(self):
         data = make_dataset([[0.0], [0.1], [0.2]])
         ml = [MLSet(members=(0, 1), hard=True), MLSet(members=(1, 2), hard=True)]
-        groups, _ = ml_penalty_cluster(data, ml, Penalties(1.0, 1.0), k=1, seed=0)
-        assert groups[0].members == (0, 1, 2)
-        assert groups[0].weight == 3
+        start = seed_and_group(data, ml, Penalties(1.0, 1.0), k=1, seed=0)
+        assert blocks(start.groups)[0] == (0, 1, 2)
+        assert start.groups.weights[0] == 3
 
 
 class TestFullPipeline:

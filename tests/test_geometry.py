@@ -1,4 +1,4 @@
-"""Distances, Gonzalez k-center, grid levels, and the cell partition."""
+"""Gonzalez k-center, grid levels, and the cell partition."""
 
 import itertools
 
@@ -6,33 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from oracles import kcenter_brute_force, sq_dist_scalar
+from oracles import kcenter_brute_force
 from setclust.geometry import (
     gonzalez_kcenter,
     grid_levels,
     grid_partition,
-    sq_dist,
 )
-
-
-class TestSqDist:
-    def test_identity(self):
-        a = np.array([1.0, 2.0, 3.0])
-        assert sq_dist(a, a) == 0.0
-
-    def test_three_four_five(self):
-        assert sq_dist(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 25.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            sq_dist(np.zeros(2), np.zeros(3))
-
-    def test_matches_scalar_loop(self, rng):
-        for _ in range(50):
-            dim = int(rng.integers(1, 8))
-            a = rng.normal(size=dim)
-            b = rng.normal(size=dim)
-            assert sq_dist(a, b) == pytest.approx(sq_dist_scalar(a, b), abs=1e-12)
 
 
 class TestGonzalezKCenter:

@@ -137,10 +137,15 @@ class TestConstraintRi:
         assert constraint_ri(ConstraintCollection(), [0, 1]) == 1.0
 
     def test_matches_pair_enumeration(self, rng):
-        for _ in range(30):
+        for trial in range(60):
             truth = rng.integers(0, 3, size=10).tolist()
             ml = [tuple(rng.choice(10, size=3, replace=False).tolist()) for _ in range(2)]
             cl = [tuple(rng.choice(10, size=3, replace=False).tolist())]
+            if trial >= 30:
+                # CL sets larger than 3, and ML sets sharing members
+                ml += [tuple(dict.fromkeys(ml[0][:2] + ml[1][:2])),
+                       tuple(rng.choice(10, size=6, replace=False).tolist())]
+                cl += [tuple(rng.choice(10, size=int(rng.integers(4, 11)), replace=False).tolist())]
             coll = ConstraintCollection(
                 ml_sets=[MLSet(members=m) for m in ml],
                 cl_sets=[CLSet(members=c) for c in cl])

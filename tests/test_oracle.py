@@ -3,15 +3,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import sim_oracle_groups_reference
+from oracles import components_bfs, sim_oracle_groups_reference
 from setclust.oracle import (
     CLMembershipQuery,
+    DisjointSets,
     MLGroupQuery,
     OracleBackendError,
     QueryLedger,
     RemoteOracle,
     SimulatedOracle,
+    _groups_from_pairs,
     consistency_repeat,
     parse_cl_response,
     parse_ml_response,
@@ -222,8 +226,8 @@ class TestRemoteOracle:
 
     def test_transcript_written(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        oracle = RemoteOracle(model="m", send=lambda p: "GROUP: 0, 1\n",
-                              backoff=0, transcript_path=str(path))
+        oracle = RemoteOracle(model="m", send=lambda p: "GROUP: 0, 1\n", backoff=0,
+                              ledger=QueryLedger(transcript_path=str(path)))
         oracle.query_ml_group(ml_query([0, 1]))
         lines = path.read_text().splitlines()
         assert len(lines) == 1
@@ -250,7 +254,64 @@ class TestLedger:
         with pytest.raises(ValueError):
             QueryLedger().record("bogus")
 
-    def test_transcript_kept_when_enabled(self):
-        ledger = QueryLedger(keep_transcripts=True)
-        ledger.record("ml", entry={"kind": "ml"})
-        assert ledger.transcripts == [{"kind": "ml"}]
+    def test_transcript_written_as_jsonl(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("stale line\n")
+        ledger = QueryLedger(transcript_path=str(path))
+        assert path.read_text() == ""  # truncated when the ledger is made
+        ledger.record("ml", {"kind": "ml", "ids": [0, 1]})
+        ledger.record("consistency", {"kind": "ml", "ids": [0, 1]})
+        ledger.record("cl", {"kind": "cl", "matched": None})
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines == [{"kind": "ml", "ids": [0, 1]}, {"kind": "ml", "ids": [0, 1]},
+                         {"kind": "cl", "matched": None}]
+        assert ledger.total == len(lines)
+
+    def test_simulated_queries_reach_the_transcript(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        oracle = SimulatedOracle({0: "a", 1: "a", 2: "b"},
+                                 ledger=QueryLedger(transcript_path=str(path)))
+        consistency_repeat(oracle, ml_query([0, 1, 2]), alpha=2)
+        oracle.query_cl_membership(CLMembershipQuery(
+            set_ids=(0,), set_texts=("t",), candidate_id=2, candidate_text="u"))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(lines) == oracle.ledger.total == 3
+        assert [e["repeat"] for e in lines] == [0, 1, 0]
+        assert lines[0]["groups"] == [[0, 1], [2]]
+        assert lines[2]["matched"] is None
+
+
+edge_lists = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)))
+
+
+class TestDisjointSets:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists)
+    def test_matches_breadth_first_search(self, case):
+        n, edges = case
+        sets = DisjointSets(n)
+        count = n
+        for a, b in edges:
+            joined = sets.union(a, b)
+            now = len(sets.groups())
+            assert joined == (now < count)
+            count = now
+        assert sets.groups() == components_bfs(n, edges)
+
+    def test_roots_are_smallest_members(self):
+        sets = DisjointSets(5)
+        sets.union(4, 3)
+        sets.union(3, 1)
+        assert [sets.find(i) for i in range(5)] == [0, 1, 2, 1, 1]
+        assert sets.groups() == [[0], [1, 3, 4], [2]]
+
+    def test_pairs_inside_a_component_are_not_asked(self):
+        asked = []
+
+        def same(i, j):
+            asked.append((i, j))
+            return True
+
+        assert _groups_from_pairs(4, same) == ((0, 1, 2, 3),)
+        assert asked == [(0, 1), (0, 2), (0, 3)]
