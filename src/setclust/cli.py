@@ -47,7 +47,8 @@ def cmd_gen_constraints(args) -> int:
     print(f"ml sets: {len(collection.ml_sets)}  cl sets: {len(collection.cl_sets)}")
     print(f"psi_pair={meta['psi_pair']:.6g}  psi_set={meta['psi_set']:.6g}")
     print(f"ledger: ml={meta['ml_queries']} cl={meta['cl_queries']} "
-          f"consistency={meta['consistency_queries']} (cl rejections {meta['cl_rejections']})")
+          f"consistency={meta['consistency_queries']} (cl rejections {meta['cl_rejections']}, "
+          f"failed backend attempts {oracle.ledger.failed_attempts})")
     return 0
 
 

@@ -16,7 +16,7 @@ from scipy.sparse import csr_array
 
 from setclust.constraints import ConstraintCollection, MLSet
 from setclust.dataset import EmbeddedDataset
-from setclust.matching import Matching, min_cost_matching
+from setclust.matching import min_cost_matching, without_each_row
 from setclust.oracle import DisjointSets
 
 
@@ -170,8 +170,15 @@ def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
     first = int(rng.choice(m, p=weights / weights.sum()))
     centers = [coords[first]]
     degenerate = False
-    # exact per-center differences, so a coincident point reads exactly 0
-    d2 = ((coords - centers[0]) ** 2).sum(axis=1)
+    diff = np.empty_like(coords)
+
+    def sq_dist(center: np.ndarray) -> np.ndarray:
+        # exact per-center differences, so a coincident point reads exactly 0
+        np.subtract(coords, center, out=diff)
+        np.square(diff, out=diff)
+        return diff.sum(axis=1)
+
+    d2 = sq_dist(centers[0])
     while len(centers) < k:
         mass = weights * d2
         total = mass.sum()
@@ -181,7 +188,7 @@ def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
         else:
             idx = int(rng.choice(m, p=mass / total))
         centers.append(coords[idx])
-        d2 = np.minimum(d2, ((coords - coords[idx]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sq_dist(coords[idx]))
     return np.vstack(centers), degenerate
 
 
@@ -217,55 +224,18 @@ def _soft_members(ml_sets: list[MLSet], claimed: set[int]) -> Blocks:
     return np.array(members, dtype=np.int64), np.array(offsets, dtype=np.int64)
 
 
-def _partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarray,
-                        w_ml: float, squared: bool) -> list[list[int]]:
-    """Split one soft ML set by nearest center, then merge while profitable.
-
-    Merging two partitions is accepted when the kept-split cost plus the
-    per-point penalties exceeds the cost of assigning the merged block to the
-    center nearest its mass center. Passes repeat until none merges. This is
-    the set-by-set reference for ``build_groups``, which runs the same passes
-    over every soft set at once.
-    """
-    near = np.argmin(center_dist(points[members], centers, squared), axis=1)
-    parts = [[m for m, c in zip(members, near) if c == cid]
-             for cid in sorted(set(near.tolist()))]
-
-    def nearest(part: list[int]) -> tuple[int, float]:
-        """Center nearest the part's mass center, and its cost."""
-        d = center_dist(points[part].mean(axis=0)[None, :], centers, squared)[0]
-        c = int(np.argmin(d))
-        return c, float(d[c])
-
-    changed = True
-    while changed and len(parts) > 1:
-        changed = False
-        order = sorted(range(len(parts)), key=lambda t: (-len(parts[t]), t))
-        alive: list[list[int] | None] = list(parts)
-        # nearest cost of each live part, updated when a merge changes it
-        cost = [nearest(p)[1] for p in parts]
-        for a in order:
-            for b in order:
-                if b == a or alive[a] is None or alive[b] is None:
-                    continue
-                pa, pb = alive[a], alive[b]
-                union = pa + pb
-                cij, union_cost = nearest(union)
-                merged_cost = float(center_dist(points[union], centers[cij][None, :],
-                                                squared).sum())
-                if (w_ml + cost[b]) * len(pb) + (w_ml + cost[a]) * len(pa) > merged_cost:
-                    alive[a], alive[b], cost[a] = union, None, union_cost
-                    changed = True
-        parts = [p for p in alive if p is not None]
-    return parts
-
-
 def _merge_parts(sums: np.ndarray, cost_to: np.ndarray, size: np.ndarray,
                  part_set: np.ndarray, centers: np.ndarray, w_ml: float,
                  squared: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The part each part ends up in after ``_partition_soft_set``'s merge
-    passes, run in lockstep over every set split two or more ways, and the
-    coordinate sums with each surviving part's absorbed parts added in.
+    """The part each part ends up in after the merge passes, run in lockstep
+    over every set split two or more ways, and the coordinate sums with each
+    surviving part's absorbed parts added in.
+
+    A pass visits a set's live parts by decreasing size, then by index, as
+    ``a`` and, for each, as ``b``; ``a`` absorbs ``b`` when keeping them
+    split (each part at the center nearest its mass center, plus ``w_ml``
+    per point) costs more than sending the union to the center nearest its
+    mass center. Passes repeat until one merges nothing.
 
     Per part: the sum of its members' coordinates, their summed cost to each
     center, its size, and its set (a set's parts are adjacent, in the order
@@ -352,10 +322,11 @@ def build_groups(points: np.ndarray, hard: Blocks, soft: Blocks, centers: np.nda
                  w_ml: float, squared: bool) -> Groups:
     """Hard blocks pass through; soft sets are partitioned and merge-tested.
 
-    Gives the parts ``_partition_soft_set`` gives set by set, batched over
-    all soft sets: one kernel call finds every member's nearest center, a set
-    whose members share it stays one block, and the sets split two or more
-    ways run the merge passes in lockstep.
+    Each soft set is split by its members' nearest centers and its parts
+    merged while profitable, batched over all soft sets: one kernel call
+    finds every member's nearest center, a set whose members share it stays
+    one block, and the sets split two or more ways run the merge passes in
+    lockstep.
     """
     hard, hard_off = hard
     n_hard = hard_off.size - 1
@@ -428,7 +399,8 @@ def cl_local_search(elements: tuple[np.ndarray, np.ndarray], cl_element_sets: li
     carries. The argmax element is released to its nearest center until the
     gain no longer beats the penalty, then M is committed. Matching costs and
     num_y are both scaled by element weight, so w_cl stays a per-point
-    penalty when an element is a multi-point block.
+    penalty when an element is a multi-point block. A round solves one
+    matching, M; ``without_each_row`` reads every M' off it.
     """
     centroids, weights = elements
     assignment: dict[int, int] = {}
@@ -444,12 +416,8 @@ def cl_local_search(elements: tuple[np.ndarray, np.ndarray], cl_element_sets: li
             nearest_cols = np.argmin(costs, axis=1)
             gains = np.empty(len(Y))
             nums = np.empty(len(Y))
-            for pos in range(len(Y)):
+            for pos, sub in enumerate(without_each_row(costs, matching)):
                 rest = [q for q in range(len(Y)) if q != pos]
-                if rest:
-                    sub = min_cost_matching(costs[rest])
-                else:
-                    sub = Matching(assignment=(), total_cost=0.0)
                 changed = sum(
                     w[q] for out_pos, q in enumerate(rest)
                     if matching.assignment[q] != sub.assignment[out_pos]
@@ -509,11 +477,15 @@ def _assign(X: np.ndarray, groups: Groups, cl_sets, centers: np.ndarray, pen: Pe
 
 
 def _update_centers(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Mean of each center's points, summed in point order; a center with
+    no points keeps its place."""
+    counts = np.bincount(labels, minlength=centers.shape[0])
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    sums = _segment_sums(X, np.argsort(labels, kind="stable"), offsets)
     new = centers.copy()
-    for c in range(centers.shape[0]):
-        mask = labels == c
-        if mask.any():
-            new[c] = X[mask].mean(axis=0)
+    filled = counts > 0
+    new[filled] = sums[filled] / counts[filled, None]
     return new
 
 

@@ -71,12 +71,15 @@ class QueryLedger:
 
     With ``transcript_path``, the file is truncated when the ledger is made
     and every recorded query that carries an entry appends it as one JSON
-    line.
+    line. ``failed_attempts`` counts backend calls that failed and were
+    retried or surfaced; it is not part of ``total``, which counts answered
+    queries.
     """
 
     ml_queries: int = 0
     cl_queries: int = 0
     consistency_queries: int = 0
+    failed_attempts: int = 0
     transcript_path: str | None = None
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -97,6 +100,10 @@ class QueryLedger:
             if self.transcript_path is not None and entry is not None:
                 with open(self.transcript_path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps(entry) + "\n")
+
+    def record_failure(self) -> None:
+        with self._lock:
+            self.failed_attempts += 1
 
     @property
     def total(self) -> int:
@@ -288,7 +295,8 @@ class RemoteOracle:
     retried up to ``max_attempts`` times with exponential backoff, and an
     unparseable response after retries is an error, never silently dropped.
     ``send`` is injectable for testing. Queries are sent one at a time; each
-    answered one goes to the ledger with its request, response and latency.
+    answered one goes to the ledger with its request, response and latency,
+    and each failed attempt is counted there too.
     """
 
     def __init__(self, model: str, temperature: float = 0.0, max_attempts: int = 3,
@@ -326,6 +334,7 @@ class RemoteOracle:
                 result = parse(content)
             except Exception as exc:  # noqa: BLE001 - retried, then surfaced
                 last_error = exc
+                self.ledger.record_failure()
                 time.sleep(self.backoff * 2**attempt if self.backoff else 0)
                 continue
             self.ledger.record(kind, {**context, "request": payload, "response": content,

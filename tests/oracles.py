@@ -286,6 +286,105 @@ def sim_oracle_groups_reference(labels, ids, flip) -> set[frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
+# clustering
+
+
+def partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarray,
+                       w_ml: float, squared: bool) -> list[list[int]]:
+    """Split one soft ML set by nearest center, then merge while profitable.
+
+    Merging two partitions is accepted when the kept-split cost plus the
+    per-point penalties exceeds the cost of assigning the merged block to the
+    center nearest its mass center. Passes repeat until none merges. This is
+    the set-by-set reference for ``build_groups``, which runs the same passes
+    over every soft set at once.
+    """
+    from setclust.clustering import center_dist
+
+    near = np.argmin(center_dist(points[members], centers, squared), axis=1)
+    parts = [[m for m, c in zip(members, near) if c == cid]
+             for cid in sorted(set(near.tolist()))]
+
+    def nearest(part: list[int]) -> tuple[int, float]:
+        """Center nearest the part's mass center, and its cost."""
+        d = center_dist(points[part].mean(axis=0)[None, :], centers, squared)[0]
+        c = int(np.argmin(d))
+        return c, float(d[c])
+
+    changed = True
+    while changed and len(parts) > 1:
+        changed = False
+        order = sorted(range(len(parts)), key=lambda t: (-len(parts[t]), t))
+        alive: list[list[int] | None] = list(parts)
+        # nearest cost of each live part, updated when a merge changes it
+        cost = [nearest(p)[1] for p in parts]
+        for a in order:
+            for b in order:
+                if b == a or alive[a] is None or alive[b] is None:
+                    continue
+                pa, pb = alive[a], alive[b]
+                union = pa + pb
+                cij, union_cost = nearest(union)
+                merged_cost = float(center_dist(points[union], centers[cij][None, :],
+                                                squared).sum())
+                if (w_ml + cost[b]) * len(pb) + (w_ml + cost[a]) * len(pa) > merged_cost:
+                    alive[a], alive[b], cost[a] = union, None, union_cost
+                    changed = True
+        parts = [p for p in alive if p is not None]
+    return parts
+
+
+def cl_local_search_loop(elements, cl_element_sets, centers, w_cl, squared=True,
+                         gain_trace=None):
+    """CL local search that solves one full matching per release candidate:
+    the reference for ``cl_local_search``, which reads every remove-one
+    matching off the round's matching."""
+    from setclust.clustering import _GAIN_TOL, InvariantError, center_dist
+    from setclust.matching import Matching, min_cost_matching
+
+    centroids, weights = elements
+    assignment: dict[int, int] = {}
+    k = centers.shape[0]
+    for eset in cl_element_sets:
+        Y = [e for e in eset if e not in assignment]
+        if len(Y) > k:
+            raise ValueError(f"CL set has {len(Y)} blocks but only {k} centers")
+        while Y:
+            w = np.asarray(weights[Y], dtype=np.float64)
+            costs = center_dist(centroids[Y], centers, squared) * w[:, None]
+            matching = min_cost_matching(costs)
+            nearest_cols = np.argmin(costs, axis=1)
+            gains = np.empty(len(Y))
+            nums = np.empty(len(Y))
+            for pos in range(len(Y)):
+                rest = [q for q in range(len(Y)) if q != pos]
+                if rest:
+                    sub = min_cost_matching(costs[rest])
+                else:
+                    sub = Matching(assignment=(), total_cost=0.0)
+                changed = sum(
+                    w[q] for out_pos, q in enumerate(rest)
+                    if matching.assignment[q] != sub.assignment[out_pos]
+                )
+                g = matching.total_cost - sub.total_cost - float(costs[pos, nearest_cols[pos]])
+                if g < -_GAIN_TOL * (1.0 + abs(matching.total_cost)):
+                    raise InvariantError(f"negative release gain {g}")
+                if gain_trace is not None:
+                    gain_trace.append(g)
+                gains[pos] = max(g, 0.0)
+                nums[pos] = w[pos] + changed
+            tie = 1e-9 * (1.0 + abs(matching.total_cost))
+            star = int(np.flatnonzero(gains >= gains.max() - tie)[0])
+            if gains[star] < nums[star] * w_cl:
+                for q, e in enumerate(Y):
+                    assignment[e] = int(matching.assignment[q])
+                break
+            assignment[Y[star]] = int(nearest_cols[star])
+            Y.pop(star)
+    return assignment
+
+
+# ---------------------------------------------------------------------------
 # clustering algorithm micro-traces (hand-executed, written down independently)
 
 # Alg-1 style merge test on the 1-D instance: centers {0, 10},

@@ -12,13 +12,16 @@ from oracles import (
     ALG2_TRACE_COMMIT_WCL,
     ALG2_TRACE_GAINS,
     ALG2_TRACE_RELEASE_WCL,
+    cl_local_search_loop,
+    partition_soft_set,
     pdist_broadcast,
 )
+from setclust import clustering, matching
 from setclust.clustering import (
     Convergence,
     Penalties,
     _flatten,
-    _partition_soft_set,
+    _update_centers,
     build_groups,
     center_dist,
     cl_local_search,
@@ -30,6 +33,7 @@ from setclust.clustering import (
     seed_and_group,
 )
 from setclust.constraints import CLSet, ConstraintCollection, MLSet
+from setclust.matching import min_cost_matching
 
 
 class TestCenterDist:
@@ -116,33 +120,33 @@ class TestSoftSetPartition:
     CENTERS = np.array([[0.0], [10.0]])
 
     def test_stays_split_at_zero_penalty(self):
-        parts = _partition_soft_set(self.POINTS, [0, 1], self.CENTERS,
-                                    ALG1_TRACE_STAY_SPLIT_WM, squared=True)
+        parts = partition_soft_set(self.POINTS, [0, 1], self.CENTERS,
+                                   ALG1_TRACE_STAY_SPLIT_WM, squared=True)
         assert sorted(sorted(p) for p in parts) == [[0], [1]]
 
     def test_merges_above_break_even(self):
-        parts = _partition_soft_set(self.POINTS, [0, 1], self.CENTERS,
-                                    ALG1_TRACE_MERGE_WM, squared=True)
+        parts = partition_soft_set(self.POINTS, [0, 1], self.CENTERS,
+                                   ALG1_TRACE_MERGE_WM, squared=True)
         assert sorted(sorted(p) for p in parts) == [[0, 1]]
 
     def test_huge_penalty_always_single_block(self, rng):
         points = rng.normal(size=(8, 2)) * 5
         centers = rng.normal(size=(3, 2)) * 5
-        parts = _partition_soft_set(points, list(range(8)), centers,
-                                    1e12, squared=True)
+        parts = partition_soft_set(points, list(range(8)), centers,
+                                   1e12, squared=True)
         assert sorted(sorted(p) for p in parts) == [list(range(8))]
 
     def test_tight_set_near_one_center_untouched(self):
         points = np.array([[0.1], [-0.1]])
-        parts = _partition_soft_set(points, [0, 1], self.CENTERS, 0.0, squared=True)
+        parts = partition_soft_set(points, [0, 1], self.CENTERS, 0.0, squared=True)
         assert sorted(sorted(p) for p in parts) == [[0, 1]]
 
     def test_partition_preserves_members(self, rng):
         points = rng.normal(size=(10, 2)) * 3
         centers = rng.normal(size=(4, 2)) * 3
         for w_ml in (0.0, 1.0, 50.0):
-            parts = _partition_soft_set(points, list(range(10)), centers,
-                                        w_ml, squared=True)
+            parts = partition_soft_set(points, list(range(10)), centers,
+                                       w_ml, squared=True)
             assert sorted(m for p in parts for m in p) == list(range(10))
 
 
@@ -163,7 +167,7 @@ def test_batched_groups_match_set_by_set(seed, n_sets, n_hard, k, dim, w_ml, squ
     bounds = got.offsets.tolist()
     blocks = [tuple(got.members[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
     want = hard + [tuple(sorted(part)) for members in soft
-                   for part in _partition_soft_set(points, members, centers, w_ml, squared)]
+                   for part in partition_soft_set(points, members, centers, w_ml, squared)]
     assert sorted(blocks) == sorted(want)
     assert got.weights.tolist() == [len(b) for b in blocks]
     centroids = [points[list(b)].mean(axis=0) for b in blocks]
@@ -226,6 +230,51 @@ class TestCLLocalSearch:
             cl_local_search(singleton_elements(coords), [[0, 1, 2, 3]],
                             centers, float(rng.random()), gain_trace=trace)
             assert all(g >= -1e-9 for g in trace)
+
+    @pytest.mark.parametrize("kind", ["grid", "near_ties", "offset", "floats"])
+    def test_matches_one_matching_per_candidate(self, kind):
+        # integer grids and near ties make tied gains and tied matchings
+        rng = np.random.default_rng(["grid", "near_ties", "offset", "floats"].index(kind))
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(n, n + 4))
+            dim = int(rng.integers(1, 3))
+            if kind == "offset":
+                coords = 1e6 + rng.normal(size=(n, dim))
+                centers = 1e6 + rng.normal(size=(k, dim))
+            elif kind == "floats":
+                coords, centers = rng.normal(size=(n, dim)), rng.normal(size=(k, dim))
+            else:
+                coords = rng.integers(0, 4, (n, dim)).astype(float)
+                centers = rng.integers(0, 4, (k, dim)).astype(float)
+                if kind == "near_ties":
+                    coords += rng.choice([0.0, 1e-13, 1e-10, 1e-8, 1e-6], size=(n, dim))
+            elements = (coords, rng.integers(1, 5, n))
+            sets = [rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False).tolist()
+                    for _ in range(int(rng.integers(1, 4)))]
+            w_cl = float(rng.choice([0.0, 0.1, 1.0, 10.0, 1e3, 1e12]))
+            squared = bool(rng.random() < 0.8)
+            got_trace: list[float] = []
+            want_trace: list[float] = []
+            got = cl_local_search(elements, sets, centers, w_cl, squared, got_trace)
+            want = cl_local_search_loop(elements, sets, centers, w_cl, squared, want_trace)
+            assert got == want
+            assert got_trace == want_trace
+
+    def test_tie_free_round_makes_one_matching(self, rng, monkeypatch):
+        calls = []
+
+        def counting(costs):
+            calls.append(costs.shape)
+            return min_cost_matching(costs)
+
+        # fallbacks inside ``without_each_row`` would call the matching module's
+        monkeypatch.setattr(clustering, "min_cost_matching", counting)
+        monkeypatch.setattr(matching, "min_cost_matching", counting)
+        got = cl_local_search(singleton_elements(rng.normal(size=(20, 4))), [list(range(20))],
+                              rng.normal(size=(30, 4)), 1e12)
+        assert calls == [(20, 30)]
+        assert len(set(got.values())) == 20
 
 
 def blocks(groups) -> list[tuple[int, ...]]:
@@ -311,6 +360,30 @@ class TestFullPipeline:
         with pytest.raises(ValueError):
             lsck_hc(data, ConstraintCollection(), Penalties(1.0, 1.0),
                     k=0, seed=0)
+
+
+class TestUpdateCenters:
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_matches_per_center_mean(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(30):
+            n, k = int(rng.integers(1, 400)), int(rng.integers(1, 12))
+            points = 1e6 * rng.integers(0, 2) + rng.normal(size=(n, dim))
+            labels = rng.integers(0, k, n)
+            centers = rng.normal(size=(k, dim))
+            want = centers.copy()
+            for c in np.unique(labels):
+                want[c] = points[labels == c].mean(axis=0)
+            got = _update_centers(points, labels, centers)
+            if dim > 1:
+                # both sum each center's rows in point order: equal bits
+                assert np.array_equal(got, want)
+            else:
+                # numpy sums a single column pairwise; tolerance fixed from
+                # float64 rounding of a sum of n terms near 1e6
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            empty = np.setdiff1d(np.arange(k), labels)
+            assert np.array_equal(got[empty], centers[empty])
 
 
 class TestKmeansBaseline:

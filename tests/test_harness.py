@@ -86,6 +86,8 @@ class TestGenerateConstraints:
         assert coll.meta["ml_queries"] == oracle.ledger.ml_queries
         assert coll.meta["cl_queries"] == oracle.ledger.cl_queries
         assert coll.meta["consistency_queries"] == oracle.ledger.consistency_queries
+        # failed backend attempts are not queries and do not reach the constraint file
+        assert "failed_attempts" not in coll.meta
 
     def test_cl_sets_capped_at_k_by_default(self, blob_data):
         oracle = harness.make_oracle(sim_config(), blob_data)

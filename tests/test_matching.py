@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import matching_brute_force, matching_brute_force_lex
 from setclust import matching
-from setclust.matching import min_cost_matching
+from setclust.matching import min_cost_matching, without_each_row
 
 
 @st.composite
@@ -108,3 +108,61 @@ class TestMinCostMatching:
         m = min_cost_matching(costs)
         assert solves == [(20, 30)]
         assert m.assignment == tuple(lsa(costs)[1])
+
+
+class TestWithoutEachRow:
+    @settings(max_examples=300, deadline=None)
+    @given(cost_matrices())
+    def test_property_matches_matching_without_the_row(self, costs):
+        got = without_each_row(costs, min_cost_matching(costs))
+        assert len(got) == costs.shape[0]
+        for p, sub in enumerate(got):
+            want = min_cost_matching(np.delete(costs, p, axis=0))
+            assert sub.assignment == want.assignment
+            assert sub.total_cost == want.total_cost
+
+    @pytest.mark.parametrize("kind", ["weighted", "offset"])
+    def test_random_matches_matching_without_the_row(self, kind):
+        # weighted squared distances, as the CL search makes them, with rows
+        # enough for a pairwise sum to differ from a sequential one; a 1e6
+        # offset, whose wide tie tolerance lets the full matching sit a
+        # little above the optimum
+        rng = np.random.default_rng(["weighted", "offset"].index(kind))
+        for _ in range(200):
+            rows = int(rng.integers(1, 13))
+            cols = int(rng.integers(rows, rows + 5))
+            if kind == "weighted":
+                points, centers = rng.normal(size=(rows, 3)), rng.normal(size=(cols, 3))
+                costs = ((points[:, None] - centers[None]) ** 2).sum(axis=2)
+                costs *= rng.integers(1, 5, rows)[:, None]
+            else:
+                costs = 1e6 + rng.random((rows, cols))
+            got = without_each_row(costs, min_cost_matching(costs))
+            assert got == [min_cost_matching(np.delete(costs, p, axis=0)) for p in range(rows)]
+
+    def test_tie_free_matrix_needs_no_further_matching(self, rng, monkeypatch):
+        calls = []
+        solve = matching.min_cost_matching
+        costs = rng.random((20, 30))
+        full = solve(costs)
+        monkeypatch.setattr(matching, "min_cost_matching", lambda c: calls.append(c) or solve(c))
+        got = without_each_row(costs, full)
+        assert calls == []
+        assert got == [solve(np.delete(costs, p, axis=0)) for p in range(20)]
+
+    def test_tied_rows_fall_back_to_a_full_solve(self, monkeypatch):
+        # rows 0 and 1 can swap columns 0 and 1 at no cost: M is not unique
+        costs = np.array([[0.0, 1.0, 5.0], [0.0, 1.0, 5.0], [0.0, 0.0, 0.0]])
+        full = min_cost_matching(costs)
+        solved = []
+        monkeypatch.setattr(matching, "min_cost_matching",
+                            lambda c: solved.append(c.shape) or min_cost_matching(c))
+        got = without_each_row(costs, full)
+        assert solved == [(2, 3)] * 3
+        assert got == [min_cost_matching(np.delete(costs, p, axis=0)) for p in range(3)]
+
+    def test_empty_and_single_row(self):
+        assert without_each_row(np.zeros((0, 3)), min_cost_matching(np.zeros((0, 3)))) == []
+        costs = np.array([[3.0, 1.0, 2.0]])
+        assert without_each_row(costs, min_cost_matching(costs)) == [
+            matching.Matching(assignment=(), total_cost=0.0)]

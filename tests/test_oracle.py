@@ -211,6 +211,32 @@ class TestRemoteOracle:
         assert resp.matched_index is None
         assert len(attempts) == 3
 
+    def test_failed_attempts_counted_apart_from_queries(self):
+        replies = iter([RuntimeError("transient"), "garbled", "NONE"])
+
+        def flaky(payload):
+            reply = next(replies)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        oracle = RemoteOracle(model="m", send=flaky, backoff=0)
+        oracle.query_cl_membership(CLMembershipQuery(
+            set_ids=(0,), set_texts=("t",), candidate_id=1, candidate_text="u"))
+        assert oracle.ledger.cl_queries == 1
+        assert oracle.ledger.total == 1
+        assert oracle.ledger.failed_attempts == 2
+
+    def test_failed_attempts_counted_when_all_fail(self):
+        def broken(payload):
+            raise RuntimeError("down")
+
+        oracle = RemoteOracle(model="m", send=broken, backoff=0, max_attempts=3)
+        with pytest.raises(OracleBackendError):
+            oracle.query_ml_group(ml_query([0, 1]))
+        assert oracle.ledger.total == 0
+        assert oracle.ledger.failed_attempts == 3
+
     def test_failure_after_retries(self):
         def broken(payload):
             raise RuntimeError("down")
