@@ -59,7 +59,11 @@ def _config_from_args(args) -> harness.ExperimentConfig:
         doc = {}
     penalties = doc.get("penalties", args.penalties)
     if isinstance(penalties, str) and penalties != "auto":
-        penalties = tuple(_parse_floats(penalties))
+        try:
+            penalties = tuple(_parse_floats(penalties))
+        except ValueError:
+            raise ValueError(
+                f"penalties must be 'auto' or 'w_ml,w_cl', got {penalties!r}") from None
     elif isinstance(penalties, list):
         penalties = tuple(penalties)
     return harness.ExperimentConfig(

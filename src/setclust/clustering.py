@@ -26,13 +26,13 @@ class InvariantError(AssertionError):
 
 @dataclass
 class Penalties:
-    """Per-point violation penalties, in units of the clustering metric."""
+    """Per-point violation penalties, in squared-distance units."""
 
     w_ml: float
     w_cl: float
 
     def __post_init__(self):
-        if self.w_ml < 0 or self.w_cl < 0:
+        if not (self.w_ml >= 0 and self.w_cl >= 0):  # also rejects NaN
             raise ValueError("penalties must be nonnegative")
 
 
@@ -90,9 +90,9 @@ class ClusteringResult:
 _KERNEL_BLOCK = 1 << 15
 
 
-def center_dist(points: np.ndarray, centers: np.ndarray, squared: bool = True,
+def center_dist(points: np.ndarray, centers: np.ndarray,
                 rows: np.ndarray | None = None) -> np.ndarray:
-    """Distance of each point (rows) to each center (columns); with
+    """Squared distance of each point (rows) to each center (columns); with
     ``rows``, of each point ``points[rows]``, without copying them out.
 
     Computed as ``|x|^2 - 2 x.c + |c|^2`` by matrix products over row
@@ -116,8 +116,7 @@ def center_dist(points: np.ndarray, centers: np.ndarray, squared: bool = True,
         block += np.einsum("ij,ij->i", p, p)[:, None]
         del p  # before the next block is gathered, so only one is held
     d2 += np.einsum("ij,ij->i", c, c)
-    np.maximum(d2, 0.0, out=d2)
-    return d2 if squared else np.sqrt(d2, out=d2)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 # index blocks as flat arrays: block i is members[offsets[i]:offsets[i + 1]]
@@ -225,8 +224,8 @@ def _soft_members(ml_sets: list[MLSet], claimed: set[int]) -> Blocks:
 
 
 def _merge_parts(sums: np.ndarray, cost_to: np.ndarray, size: np.ndarray,
-                 part_set: np.ndarray, centers: np.ndarray, w_ml: float,
-                 squared: bool) -> tuple[np.ndarray, np.ndarray]:
+                 part_set: np.ndarray, centers: np.ndarray,
+                 w_ml: float) -> tuple[np.ndarray, np.ndarray]:
     """The part each part ends up in after the merge passes, run in lockstep
     over every set split two or more ways, and the coordinate sums with each
     surviving part's absorbed parts added in.
@@ -259,7 +258,7 @@ def _merge_parts(sums: np.ndarray, cost_to: np.ndarray, size: np.ndarray,
     slots = np.where(cols < count[:, None], first[:, None] + cols, n)
     near = np.zeros(n + 1)  # cost from each part's mass center to its nearest center
     split = slots[slots < n]
-    near[split] = center_dist(sums[split] / size[split, None], centers, squared).min(axis=1)
+    near[split] = center_dist(sums[split] / size[split, None], centers).min(axis=1)
     running = np.ones(first.size, dtype=bool)
     while running.any():
         rows = np.flatnonzero(running)
@@ -276,7 +275,7 @@ def _merge_parts(sums: np.ndarray, cost_to: np.ndarray, size: np.ndarray,
             a, b = a[active], b[active]
             union_size = size[a] + size[b]
             union_sum = sums[a] + sums[b]
-            d = center_dist(union_sum / union_size[:, None], centers, squared)
+            d = center_dist(union_sum / union_size[:, None], centers)
             target = d.argmin(axis=1)
             merged_cost = cost_to[a, target] + cost_to[b, target]
             merge = (w_ml + near[b]) * size[b] + (w_ml + near[a]) * size[a] > merged_cost
@@ -293,8 +292,8 @@ def _merge_parts(sums: np.ndarray, cost_to: np.ndarray, size: np.ndarray,
     return root[:n], sums
 
 
-def _soft_groups(points: np.ndarray, soft: Blocks, centers: np.ndarray, w_ml: float,
-                 squared: bool) -> tuple[np.ndarray, np.ndarray]:
+def _soft_groups(points: np.ndarray, soft: Blocks, centers: np.ndarray,
+                 w_ml: float) -> tuple[np.ndarray, np.ndarray]:
     """Group label of each soft member, the part of its set it ends up in,
     and the coordinate sum of each group by label.
 
@@ -303,7 +302,7 @@ def _soft_groups(points: np.ndarray, soft: Blocks, centers: np.ndarray, w_ml: fl
     """
     members, offsets = soft
     set_of = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-    dist = center_dist(points, centers, squared, rows=members)
+    dist = center_dist(points, centers, rows=members)
     key = set_of * centers.shape[0] + dist.argmin(axis=1)
     # parts: the members of one set nearest one center
     order = np.argsort(key, kind="stable")
@@ -312,14 +311,14 @@ def _soft_groups(points: np.ndarray, soft: Blocks, centers: np.ndarray, w_ml: fl
     cost_to = _segment_sums(dist, order, part_off)
     del dist  # the largest array here; the merge passes need only the sums
     root, sums = _merge_parts(_segment_sums(points, members[order], part_off), cost_to, size,
-                              set_of[order[part_off[:-1]]], centers, w_ml, squared)
+                              set_of[order[part_off[:-1]]], centers, w_ml)
     label = np.empty(members.size, dtype=np.int64)
     label[order] = np.repeat(root, size)
     return label, sums
 
 
 def build_groups(points: np.ndarray, hard: Blocks, soft: Blocks, centers: np.ndarray,
-                 w_ml: float, squared: bool) -> Groups:
+                 w_ml: float) -> Groups:
     """Hard blocks pass through; soft sets are partitioned and merge-tested.
 
     Each soft set is split by its members' nearest centers and its parts
@@ -330,7 +329,7 @@ def build_groups(points: np.ndarray, hard: Blocks, soft: Blocks, centers: np.nda
     """
     hard, hard_off = hard
     n_hard = hard_off.size - 1
-    soft_label, soft_sums = _soft_groups(points, soft, centers, w_ml, squared)
+    soft_label, soft_sums = _soft_groups(points, soft, centers, w_ml)
     members = np.concatenate([hard, soft[0]])
     labels = np.concatenate([np.repeat(np.arange(n_hard), np.diff(hard_off)),
                              n_hard + soft_label])
@@ -356,13 +355,13 @@ class Start:
 
 
 def seed_and_group(data: EmbeddedDataset, ml_sets: list[MLSet], penalties: Penalties,
-                   k: int, seed: int, squared: bool = True) -> Start:
+                   k: int, seed: int) -> Start:
     """Seed centers with hard-ML representatives and group the ML sets
     against them: the start of ``lsck_hc`` and ``lsck``."""
     hard = _merge_hard_sets(ml_sets)
     soft = _soft_members(ml_sets, set(hard[0].tolist()))
     centers, degenerate = _seed(data.points, hard, k, seed)
-    groups = build_groups(data.points, hard, soft, centers, penalties.w_ml, squared)
+    groups = build_groups(data.points, hard, soft, centers, penalties.w_ml)
     return Start(hard=hard, soft=soft, centers=centers, degenerate=degenerate, groups=groups)
 
 
@@ -386,7 +385,7 @@ _GAIN_TOL = 1e-6
 
 
 def cl_local_search(elements: tuple[np.ndarray, np.ndarray], cl_element_sets: list[list[int]],
-                    centers: np.ndarray, w_cl: float, squared: bool = True,
+                    centers: np.ndarray, w_cl: float,
                     gain_trace: list[float] | None = None) -> dict[int, int]:
     """Assign CL elements to centers by repeated min-cost matching.
 
@@ -411,7 +410,7 @@ def cl_local_search(elements: tuple[np.ndarray, np.ndarray], cl_element_sets: li
             raise ValueError(f"CL set has {len(Y)} blocks but only {k} centers")
         while Y:
             w = np.asarray(weights[Y], dtype=np.float64)
-            costs = center_dist(centroids[Y], centers, squared) * w[:, None]
+            costs = center_dist(centroids[Y], centers) * w[:, None]
             matching = min_cost_matching(costs)
             nearest_cols = np.argmin(costs, axis=1)
             gains = np.empty(len(Y))
@@ -443,19 +442,22 @@ def cl_local_search(elements: tuple[np.ndarray, np.ndarray], cl_element_sets: li
 
 
 def _assign(X: np.ndarray, groups: Groups, cl_sets, centers: np.ndarray, pen: Penalties,
-            squared: bool, gain_trace: list[float] | None = None) -> np.ndarray:
+            gain_trace: list[float] | None = None) -> np.ndarray:
     """Labels of one constrained assignment round against fixed centers.
 
     An element is a group or a point outside every group. Elements of CL
     sets are placed by the CL local search; every other element goes to the
-    center nearest its mass center.
+    center nearest its mass center. ML wins over CL: CL members that fall in
+    one block of this round's grouping (a hard block or a merged soft set)
+    count as one element, and a CL set left with fewer than two elements is
+    ignored for the round.
     """
     n_groups = groups.offsets.size - 1
     # the element of each point: its group, or n_groups + i for a free point i
     point_elem = np.arange(n_groups, n_groups + X.shape[0])
     point_elem[groups.members] = np.repeat(np.arange(n_groups), groups.weights)
-    elem_center = np.concatenate([center_dist(groups.centroids, centers, squared).argmin(axis=1),
-                                  center_dist(X, centers, squared).argmin(axis=1)])
+    elem_center = np.concatenate([center_dist(groups.centroids, centers).argmin(axis=1),
+                                  center_dist(X, centers).argmin(axis=1)])
     # CL sets over the elements they touch, which get rows 0, 1, ... in order
     row: dict[int, int] = {}
     cl_element_sets = []
@@ -470,8 +472,7 @@ def _assign(X: np.ndarray, groups: Groups, cl_sets, centers: np.ndarray, pen: Pe
     coords[~grouped] = X[elem[~grouped] - n_groups]
     weights = np.ones(elem.size, dtype=np.int64)
     weights[grouped] = groups.weights[elem[grouped]]
-    assignment = cl_local_search((coords, weights), cl_element_sets, centers, pen.w_cl,
-                                 squared, gain_trace)
+    assignment = cl_local_search((coords, weights), cl_element_sets, centers, pen.w_cl, gain_trace)
     elem_center[elem[list(assignment)]] = list(assignment.values())
     return elem_center[point_elem]
 
@@ -494,62 +495,53 @@ def _objective(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> float:
 
 
 def resolve_penalties(data: EmbeddedDataset, k: int, seed: int,
-                      convergence: Convergence | None = None,
-                      squared: bool = True) -> Penalties:
+                      convergence: Convergence | None = None) -> Penalties:
     """Scale-aware defaults from one unconstrained baseline run on the same
     data and seed.
 
-    w_ml is the mean point-to-assigned-center cost. w_cl is one cluster's
-    share of the baseline objective (objective / k): breaking a CL pin is
-    only worth it when the matching overpays by more than a typical
+    w_ml is the mean squared point-to-assigned-center distance. w_cl is one
+    cluster's share of the baseline objective (objective / k): breaking a CL
+    pin is only worth it when the matching overpays by more than a typical
     cluster's entire cost per pinned point, so a cannot-link block can drag
     a duplicated center out of an overcrowded region instead of being
     released back to it.
     """
     base = kmeans_baseline(data, k, seed, convergence)
-    if squared:
-        mean_cost = base.objective / data.n
-        cluster_cost = base.objective / k
-    else:
-        dists = np.sqrt(((data.points - base.centers[base.labels]) ** 2).sum(axis=1))
-        mean_cost = float(dists.mean())
-        cluster_cost = float(dists.sum()) / k
-    return Penalties(w_ml=mean_cost, w_cl=cluster_cost)
+    return Penalties(w_ml=base.objective / data.n, w_cl=base.objective / k)
 
 
 def _run(data: EmbeddedDataset, collection: ConstraintCollection,
          penalties: Penalties | None, k: int, seed: int,
-         convergence: Convergence | None, squared: bool,
-         use_hard: bool) -> ClusteringResult:
+         convergence: Convergence | None, use_hard: bool) -> ClusteringResult:
     if not 1 <= k <= data.n:
         raise ValueError(f"k must be in [1, {data.n}]")
     conv = convergence if convergence is not None else Convergence()
     tol = conv.resolve_tol(data.points)
-    pen = penalties if penalties is not None else resolve_penalties(data, k, seed, conv, squared)
+    pen = penalties if penalties is not None else resolve_penalties(data, k, seed, conv)
     X = data.points
 
     ml_sets = collection.ml_sets
     if not use_hard:
         ml_sets = [replace(s, hard=False) for s in ml_sets]
-    start = seed_and_group(data, ml_sets, pen, k, seed, squared)
+    start = seed_and_group(data, ml_sets, pen, k, seed)
     centers, groups = start.centers, start.groups
 
     gain_trace: list[float] = []
     iterations = 0
     converged = False
     for _ in range(conv.max_iters):
-        labels = _assign(X, groups, collection.cl_sets, centers, pen, squared, gain_trace)
+        labels = _assign(X, groups, collection.cl_sets, centers, pen, gain_trace)
         new_centers = _update_centers(X, labels, centers)
         displacement = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
-        groups = build_groups(X, start.hard, start.soft, centers, pen.w_ml, squared)
+        groups = build_groups(X, start.hard, start.soft, centers, pen.w_ml)
         iterations += 1
         if displacement < tol:
             converged = True
             break
     # final assignment against the final centers, so the reported labels and
     # centers are mutually consistent
-    labels = _assign(X, groups, collection.cl_sets, centers, pen, squared, gain_trace)
+    labels = _assign(X, groups, collection.cl_sets, centers, pen, gain_trace)
     return ClusteringResult(
         labels=labels,
         centers=centers,
@@ -564,16 +556,16 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
 
 def lsck_hc(data: EmbeddedDataset, collection: ConstraintCollection,
             penalties: Penalties | None, k: int, seed: int,
-            convergence: Convergence | None = None, squared: bool = True) -> ClusteringResult:
+            convergence: Convergence | None = None) -> ClusteringResult:
     """Full constrained clustering with hard and soft ML plus CL sets."""
-    return _run(data, collection, penalties, k, seed, convergence, squared, use_hard=True)
+    return _run(data, collection, penalties, k, seed, convergence, use_hard=True)
 
 
 def lsck(data: EmbeddedDataset, collection: ConstraintCollection,
          penalties: Penalties | None, k: int, seed: int,
-         convergence: Convergence | None = None, squared: bool = True) -> ClusteringResult:
+         convergence: Convergence | None = None) -> ClusteringResult:
     """Variant treating every ML set as soft (no hard seeding representatives)."""
-    return _run(data, collection, penalties, k, seed, convergence, squared, use_hard=False)
+    return _run(data, collection, penalties, k, seed, convergence, use_hard=False)
 
 
 def kmeans_baseline(data: EmbeddedDataset, k: int, seed: int,

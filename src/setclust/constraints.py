@@ -149,9 +149,7 @@ def _cut_segments(points: np.ndarray, order: list[int], tau: float):
 def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
                         cost_kc: float,
                         extra_points: list[int] | None = None,
-                        m_max: int = DEFAULT_M_MAX,
-                        alpha: int = ALPHA_MERGE,
-                        max_rounds: int = MAX_MERGE_ROUNDS) -> list[MLSet]:
+                        m_max: int = DEFAULT_M_MAX) -> list[MLSet]:
     """Merge ML sets whose representatives the oracle consistently groups.
 
     Each round takes one representative per set (the lowest member index),
@@ -160,19 +158,20 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
     asked as a sequence of grouping queries that overlap by one text, so its
     merges chain through the shared representative; each of these queries is
     asked once. Pairs of chain-adjacent segments are bridged with two-text
-    queries repeated ``alpha`` times, merging only on an identical verdict
-    every time. A segment is kept spatially tight on purpose: a query
+    queries repeated ``ALPHA_MERGE`` times, merging only on an identical
+    verdict every time. A segment is kept spatially tight on purpose: a query
     containing two different multi-member topics would be glued into one
     group by a single noisy pairwise verdict, and because any such verdict
     produces the same glued partition, repetition cannot detect it. Tight
     segments make the true partition of every multi-text query a single
     group, and restrict cross-topic decisions to two-text bridges, where a
-    wrong verdict must repeat identically ``alpha`` times to pass. Rounds
-    repeat until no merge happens, up to ``max_rounds`` — an unbounded loop
-    would keep re-rolling oracle noise until some spurious merge eventually
-    passed. ``extra_points`` (typically points not covered by any candidate
-    set) take part as one-point blocks; those still alone at the end are
-    dropped. The merged sets are soft; hard/soft classification runs after.
+    wrong verdict must repeat identically ``ALPHA_MERGE`` times to pass.
+    Rounds repeat until no merge happens, up to ``MAX_MERGE_ROUNDS`` — an
+    unbounded loop would keep re-rolling oracle noise until some spurious
+    merge eventually passed. ``extra_points`` (typically points not covered
+    by any candidate set) take part as one-point blocks; those still alone at
+    the end are dropped. The merged sets are soft; hard/soft classification
+    runs after.
     """
     current: list[MLSet | tuple[int, ...]] = list(ml_sets)
     current += [(int(i),) for i in (extra_points or [])]
@@ -181,7 +180,7 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
     def members_of(item) -> tuple[int, ...]:
         return item if isinstance(item, tuple) else item.members
 
-    for _round in range(max_rounds):
+    for _round in range(MAX_MERGE_ROUNDS):
         if len(current) < 2:
             break
         reps = [min(members_of(s)) for s in current]
@@ -218,7 +217,7 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
                 start += m_max - 1
         for left, right in zip(segments, segments[1:]):
             bridge = (left[-1], right[0])
-            groups = ask(bridge, repeats=alpha)
+            groups = ask(bridge, repeats=ALPHA_MERGE)
             if groups is not None:
                 merge(bridge, groups)
         merged = sets.groups()
@@ -286,21 +285,21 @@ def _search_class(data, oracle, candidates: list[MLSet], alpha: int) -> float:
     return psis[best] if best >= 0 else 0.0
 
 
-def compute_hard_thresholds(data: EmbeddedDataset, oracle, candidates: list[MLSet],
-                            alpha_pair: int = ALPHA_PAIR,
-                            alpha_set: int = ALPHA_SET) -> ThresholdResult:
+def compute_hard_thresholds(data: EmbeddedDataset, oracle,
+                            candidates: list[MLSet]) -> ThresholdResult:
     """Binary search the largest consistently-answered diameter per arity class.
 
     Candidates of each class are ordered by distinct diameter; a probe asks
-    the oracle the same grouping ``alpha`` times and passes only when all
-    repeats agree. A class with no candidates, or whose smallest diameter
-    already fails, gets threshold 0.
+    the oracle the same grouping ``ALPHA_PAIR`` times (pairs) or
+    ``ALPHA_SET`` times (larger sets) and passes only when all repeats
+    agree. A class with no candidates, or whose smallest diameter already
+    fails, gets threshold 0.
     """
     pairs = [c for c in candidates if len(c.members) == 2]
     sets_ = [c for c in candidates if len(c.members) >= 3]
     return ThresholdResult(
-        psi_pair=_search_class(data, oracle, pairs, alpha_pair),
-        psi_set=_search_class(data, oracle, sets_, alpha_set),
+        psi_pair=_search_class(data, oracle, pairs, ALPHA_PAIR),
+        psi_set=_search_class(data, oracle, sets_, ALPHA_SET),
     )
 
 

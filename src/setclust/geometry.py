@@ -58,23 +58,25 @@ def gonzalez_kcenter(data: EmbeddedDataset, k: int, seed: int,
     return KCenterResult(center_indices=chosen, cost=float(nearest.max()), nearest_dist=nearest)
 
 
-def grid_levels(cost_kc: float, n: int, dim: int, eps: float = 0.1) -> list[float]:
-    """Radii r_j = (1+eps)^j * sqrt(cost_kc / (10*n*dim)).
+# growth of the grid radius from one level to the next
+GRID_EPS = 0.1
+
+
+def grid_levels(cost_kc: float, n: int, dim: int) -> list[float]:
+    """Radii r_j = (1+GRID_EPS)^j * sqrt(cost_kc / (10*n*dim)).
 
     Levels stop at the smallest j with r_j >= 2*cost_kc. A zero cost_kc
-    signals fully degenerate data (all points coincident); the caller falls
-    back to the single level r_0 = 0.
+    signals fully degenerate data (all points coincident) and gives the
+    single level r_0 = 0.
     """
     if cost_kc < 0:
         raise ValueError("cost_kc must be nonnegative")
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
     if cost_kc == 0:
         return [0.0]
     r = float(np.sqrt(cost_kc / (10.0 * n * dim)))
     levels = [r]
     while levels[-1] < 2.0 * cost_kc:
-        r *= 1.0 + eps
+        r *= 1.0 + GRID_EPS
         levels.append(r)
     return levels
 

@@ -9,7 +9,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal
 
 import numpy as np
 
@@ -43,6 +42,13 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         if any(not 0.0 <= r <= 1.0 for r in self.ratios):
             raise ValueError("ratios must lie in [0, 1]")
+        if self.penalties != "auto":
+            pair = self.penalties
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(w, (int, float)) and not isinstance(w, bool)
+                            for w in pair)):
+                raise ValueError(f"penalties must be 'auto' or (w_ml, w_cl), got {pair!r}")
+            clustering.Penalties(*pair)  # rejects negative and NaN weights
 
 
 def make_oracle(config: ExperimentConfig, data: EmbeddedDataset,
@@ -60,22 +66,14 @@ def make_oracle(config: ExperimentConfig, data: EmbeddedDataset,
 
 
 def generate_constraints(data: EmbeddedDataset, oracle, k: int, seed: int,
-                         m_max: int = constraints.DEFAULT_M_MAX,
-                         max_cl_sets: int | Literal["auto"] | None = "auto",
-                         ) -> ConstraintCollection:
+                         m_max: int = constraints.DEFAULT_M_MAX) -> ConstraintCollection:
     """Stage 1: grid-driven ML candidates, thresholds, and radius-gated CL sets.
 
-    ``max_cl_sets`` defaults to k, which bounds the membership-query budget
-    while still giving the local search cross-cluster separation evidence;
-    pass None to grow CL sets until every point is covered.
+    At most k CL sets are grown, which bounds the membership-query budget
+    while still giving the local search cross-cluster separation evidence.
     """
-    if max_cl_sets == "auto":
-        max_cl_sets = k
     kcr = geometry.gonzalez_kcenter(data, k, seed)
-    if kcr.cost == 0:
-        levels = [0.0]
-    else:
-        levels = geometry.grid_levels(kcr.cost, data.n, data.dim)
+    levels = geometry.grid_levels(kcr.cost, data.n, data.dim)
     grid = geometry.grid_partition(data, levels, kcr)
     ml_candidates = constraints.generate_ml_sets(data, oracle, grid, m_max=m_max)
     covered = {m for s in ml_candidates for m in s.members}
@@ -87,7 +85,7 @@ def generate_constraints(data: EmbeddedDataset, oracle, k: int, seed: int,
     thresholds = constraints.compute_hard_thresholds(data, oracle, ml_candidates)
     ml_sets = constraints.classify_hard_soft(ml_candidates, thresholds)
     cl_sets, rejections = constraints.generate_cl_sets(data, oracle, kcr.cost, k, seed,
-                                                       max_sets=max_cl_sets)
+                                                       max_sets=k)
     ledger = oracle.ledger
     return ConstraintCollection(
         ml_sets=ml_sets,
@@ -141,6 +139,7 @@ def result_to_doc(result: clustering.ClusteringResult, config: ExperimentConfig,
         "objective": result.objective,
         "iterations": result.iterations,
         "converged": result.converged,
+        "degenerate_seeding": result.degenerate_seeding,
         "seed": seed,
         "config": {
             "algorithm": config.algorithm,

@@ -19,11 +19,10 @@ import numpy as np
 # geometry
 
 
-def pdist_broadcast(points: np.ndarray, centers: np.ndarray, squared: bool) -> np.ndarray:
-    """Point-to-center distances by broadcasting exact differences
+def pdist_broadcast(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared point-to-center distances by broadcasting exact differences
     (an n x k x d temporary)."""
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return d2 if squared else np.sqrt(d2)
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
 def kcenter_brute_force(points: np.ndarray, k: int) -> float:
@@ -290,7 +289,7 @@ def sim_oracle_groups_reference(labels, ids, flip) -> set[frozenset[int]]:
 
 
 def partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarray,
-                       w_ml: float, squared: bool) -> list[list[int]]:
+                       w_ml: float) -> list[list[int]]:
     """Split one soft ML set by nearest center, then merge while profitable.
 
     Merging two partitions is accepted when the kept-split cost plus the
@@ -301,13 +300,13 @@ def partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarr
     """
     from setclust.clustering import center_dist
 
-    near = np.argmin(center_dist(points[members], centers, squared), axis=1)
+    near = np.argmin(center_dist(points[members], centers), axis=1)
     parts = [[m for m, c in zip(members, near) if c == cid]
              for cid in sorted(set(near.tolist()))]
 
     def nearest(part: list[int]) -> tuple[int, float]:
         """Center nearest the part's mass center, and its cost."""
-        d = center_dist(points[part].mean(axis=0)[None, :], centers, squared)[0]
+        d = center_dist(points[part].mean(axis=0)[None, :], centers)[0]
         c = int(np.argmin(d))
         return c, float(d[c])
 
@@ -325,8 +324,7 @@ def partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarr
                 pa, pb = alive[a], alive[b]
                 union = pa + pb
                 cij, union_cost = nearest(union)
-                merged_cost = float(center_dist(points[union], centers[cij][None, :],
-                                                squared).sum())
+                merged_cost = float(center_dist(points[union], centers[cij][None, :]).sum())
                 if (w_ml + cost[b]) * len(pb) + (w_ml + cost[a]) * len(pa) > merged_cost:
                     alive[a], alive[b], cost[a] = union, None, union_cost
                     changed = True
@@ -334,8 +332,7 @@ def partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarr
     return parts
 
 
-def cl_local_search_loop(elements, cl_element_sets, centers, w_cl, squared=True,
-                         gain_trace=None):
+def cl_local_search_loop(elements, cl_element_sets, centers, w_cl, gain_trace=None):
     """CL local search that solves one full matching per release candidate:
     the reference for ``cl_local_search``, which reads every remove-one
     matching off the round's matching."""
@@ -351,7 +348,7 @@ def cl_local_search_loop(elements, cl_element_sets, centers, w_cl, squared=True,
             raise ValueError(f"CL set has {len(Y)} blocks but only {k} centers")
         while Y:
             w = np.asarray(weights[Y], dtype=np.float64)
-            costs = center_dist(centroids[Y], centers, squared) * w[:, None]
+            costs = center_dist(centroids[Y], centers) * w[:, None]
             matching = min_cost_matching(costs)
             nearest_cols = np.argmin(costs, axis=1)
             gains = np.empty(len(Y))

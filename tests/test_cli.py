@@ -138,6 +138,25 @@ class TestTranscript:
 
 
 class TestErrors:
+    def _cluster(self, workspace, out, *extra):
+        return main(["cluster", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--embeddings", str(workspace / "emb.bin"),
+                     "--constraints", str(workspace / "constraints.json"),
+                     "--k", "3", "--seeds", "0", *extra, "--out-dir", str(out)])
+
+    def test_one_penalty_rejected_before_output(self, workspace, tmp_path):
+        with pytest.raises(ValueError, match="penalties"):
+            self._cluster(workspace, tmp_path / "out", "--penalties", "1.0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("penalties", ["bogus", [1.0], "1,2,3"])
+    def test_bad_config_penalties_rejected_before_output(self, workspace, tmp_path, penalties):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"penalties": penalties}))
+        with pytest.raises(ValueError, match="penalties"):
+            self._cluster(workspace, tmp_path / "out", "--config", str(config))
+        assert not (tmp_path / "out").exists()
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])

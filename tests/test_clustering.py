@@ -53,11 +53,9 @@ class TestCenterDist:
         points = rng.normal(size=(5000, 8)) + offset
         centers = rng.normal(size=(7, 8)) + offset
         got = center_dist(points, centers)
-        want = pdist_broadcast(points, centers, squared=True)
+        want = pdist_broadcast(points, centers)
         assert np.all(np.abs(got - want) <= self._bound(points, centers))
         assert np.array_equal(got.argmin(axis=1), want.argmin(axis=1))
-        root = center_dist(points, centers, squared=False)
-        assert np.all(np.abs(root - np.sqrt(want)) <= np.sqrt(self._bound(points, centers)))
 
     def test_rows_select_points(self, rng):
         points = rng.normal(size=(50, 3))
@@ -121,40 +119,37 @@ class TestSoftSetPartition:
 
     def test_stays_split_at_zero_penalty(self):
         parts = partition_soft_set(self.POINTS, [0, 1], self.CENTERS,
-                                   ALG1_TRACE_STAY_SPLIT_WM, squared=True)
+                                   ALG1_TRACE_STAY_SPLIT_WM)
         assert sorted(sorted(p) for p in parts) == [[0], [1]]
 
     def test_merges_above_break_even(self):
         parts = partition_soft_set(self.POINTS, [0, 1], self.CENTERS,
-                                   ALG1_TRACE_MERGE_WM, squared=True)
+                                   ALG1_TRACE_MERGE_WM)
         assert sorted(sorted(p) for p in parts) == [[0, 1]]
 
     def test_huge_penalty_always_single_block(self, rng):
         points = rng.normal(size=(8, 2)) * 5
         centers = rng.normal(size=(3, 2)) * 5
-        parts = partition_soft_set(points, list(range(8)), centers,
-                                   1e12, squared=True)
+        parts = partition_soft_set(points, list(range(8)), centers, 1e12)
         assert sorted(sorted(p) for p in parts) == [list(range(8))]
 
     def test_tight_set_near_one_center_untouched(self):
         points = np.array([[0.1], [-0.1]])
-        parts = partition_soft_set(points, [0, 1], self.CENTERS, 0.0, squared=True)
+        parts = partition_soft_set(points, [0, 1], self.CENTERS, 0.0)
         assert sorted(sorted(p) for p in parts) == [[0, 1]]
 
     def test_partition_preserves_members(self, rng):
         points = rng.normal(size=(10, 2)) * 3
         centers = rng.normal(size=(4, 2)) * 3
         for w_ml in (0.0, 1.0, 50.0):
-            parts = partition_soft_set(points, list(range(10)), centers,
-                                       w_ml, squared=True)
+            parts = partition_soft_set(points, list(range(10)), centers, w_ml)
             assert sorted(m for p in parts for m in p) == list(range(10))
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(0, 12), n_hard=st.integers(0, 3),
-       k=st.integers(1, 6), dim=st.integers(1, 4), w_ml=st.floats(0.0, 60.0),
-       squared=st.booleans())
-def test_batched_groups_match_set_by_set(seed, n_sets, n_hard, k, dim, w_ml, squared):
+       k=st.integers(1, 6), dim=st.integers(1, 4), w_ml=st.floats(0.0, 60.0))
+def test_batched_groups_match_set_by_set(seed, n_sets, n_hard, k, dim, w_ml):
     rng = np.random.default_rng(seed)
     sizes = rng.integers(2, 9, size=n_sets)
     ids = rng.permutation(int(sizes.sum()) + 3 * n_hard + 4).tolist()
@@ -163,11 +158,11 @@ def test_batched_groups_match_set_by_set(seed, n_sets, n_hard, k, dim, w_ml, squ
     hard = [tuple(sorted(ids[3 * i:3 * i + 3])) for i in range(n_hard)]
     ends = np.cumsum(sizes) + 3 * n_hard
     soft = [ids[end - size:end] for end, size in zip(ends, sizes)]
-    got = build_groups(points, _flatten(hard), _flatten(soft), centers, w_ml, squared)
+    got = build_groups(points, _flatten(hard), _flatten(soft), centers, w_ml)
     bounds = got.offsets.tolist()
     blocks = [tuple(got.members[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
     want = hard + [tuple(sorted(part)) for members in soft
-                   for part in partition_soft_set(points, members, centers, w_ml, squared)]
+                   for part in partition_soft_set(points, members, centers, w_ml)]
     assert sorted(blocks) == sorted(want)
     assert got.weights.tolist() == [len(b) for b in blocks]
     centroids = [points[list(b)].mean(axis=0) for b in blocks]
@@ -253,11 +248,10 @@ class TestCLLocalSearch:
             sets = [rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False).tolist()
                     for _ in range(int(rng.integers(1, 4)))]
             w_cl = float(rng.choice([0.0, 0.1, 1.0, 10.0, 1e3, 1e12]))
-            squared = bool(rng.random() < 0.8)
             got_trace: list[float] = []
             want_trace: list[float] = []
-            got = cl_local_search(elements, sets, centers, w_cl, squared, got_trace)
-            want = cl_local_search_loop(elements, sets, centers, w_cl, squared, want_trace)
+            got = cl_local_search(elements, sets, centers, w_cl, got_trace)
+            want = cl_local_search_loop(elements, sets, centers, w_cl, want_trace)
             assert got == want
             assert got_trace == want_trace
 
@@ -329,6 +323,27 @@ class TestFullPipeline:
         res = lsck_hc(data, ConstraintCollection(cl_sets=cl),
                       Penalties(1.0, 1e12), k=3, seed=3)
         assert len(set(res.labels[[0, 20, 40]])) == 3
+
+    def test_hard_ml_wins_over_cl(self):
+        # 0, 1 and 2 share a blob; the hard block {0, 1} is one CL element,
+        # so the CL set pins that block and point 2 to distinct centers
+        data = self._blobs(seed=6)
+        coll = ConstraintCollection(ml_sets=[MLSet(members=(0, 1), hard=True)],
+                                    cl_sets=[CLSet(members=(0, 1, 2))])
+        res = lsck_hc(data, coll, Penalties(1.0, 1e12), k=3, seed=1)
+        assert res.labels[0] == res.labels[1] != res.labels[2]
+
+    def test_cl_set_inside_one_hard_block_is_ignored(self):
+        data = self._blobs(seed=7)
+        ml = [MLSet(members=(0, 1, 2, 20), hard=True)]
+        alone = lsck_hc(data, ConstraintCollection(ml_sets=ml), Penalties(1.0, 1e12),
+                        k=3, seed=2)
+        cl = [CLSet(members=(0, 2, 20))]
+        both = lsck_hc(data, ConstraintCollection(ml_sets=ml, cl_sets=cl), Penalties(1.0, 1e12),
+                       k=3, seed=2)
+        assert np.array_equal(both.labels, alone.labels)
+        assert both.objective == alone.objective
+        assert both.min_gain_seen == np.inf  # no CL set reached the local search
 
     def test_lsck_equals_lsck_hc_without_hard_sets(self):
         data = self._blobs(seed=3)

@@ -53,15 +53,15 @@ class TestGonzalezKCenter:
 
 class TestGridLevels:
     def test_first_level(self):
-        levels = grid_levels(1.0, 10, 1, eps=0.1)
+        levels = grid_levels(1.0, 10, 1)
         assert levels[0] == pytest.approx(0.1)
 
     def test_second_level(self):
-        levels = grid_levels(1.0, 10, 1, eps=0.1)
+        levels = grid_levels(1.0, 10, 1)
         assert levels[1] == pytest.approx(0.11)
 
     def test_strictly_increasing_geometric(self):
-        levels = grid_levels(3.0, 100, 8, eps=0.1)
+        levels = grid_levels(3.0, 100, 8)
         ratios = [b / a for a, b in itertools.pairwise(levels)]
         assert all(r == pytest.approx(1.1) for r in ratios)
         # stops at the smallest level >= 2 * cost_kc
@@ -70,10 +70,6 @@ class TestGridLevels:
 
     def test_zero_cost_degenerate(self):
         assert grid_levels(0.0, 5, 2) == [0.0]
-
-    def test_bad_eps(self):
-        with pytest.raises(ValueError):
-            grid_levels(1.0, 5, 2, eps=1.5)
 
 
 class TestGridPartition:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_dataset
 from setclust import harness
 from setclust.constraints import (
     CLSet,
@@ -44,6 +45,17 @@ class TestExperimentConfig:
     def test_empty_seeds(self):
         with pytest.raises(ValueError):
             ExperimentConfig(k=3, seeds=[])
+
+    @pytest.mark.parametrize("penalties", ["bogus", "", (1.0,), (1.0, 2.0, 3.0), 1.0,
+                                           (-1.0, 2.0), (1.0, float("nan")), ("1", "2"),
+                                           (True, 1.0), None])
+    def test_bad_penalties(self, penalties):
+        with pytest.raises(ValueError, match="penalties"):
+            ExperimentConfig(k=3, penalties=penalties)
+
+    @pytest.mark.parametrize("penalties", ["auto", (0.0, 0.0), (1, 2.5), [1e12, 1e12]])
+    def test_good_penalties(self, penalties):
+        assert ExperimentConfig(k=3, penalties=penalties).penalties == penalties
 
 
 class TestMakeOracle:
@@ -93,14 +105,6 @@ class TestGenerateConstraints:
         oracle = harness.make_oracle(sim_config(), blob_data)
         coll = harness.generate_constraints(blob_data, oracle, k=3, seed=0)
         assert len(coll.cl_sets) <= 3
-
-    def test_auto_cl_cap_is_k(self, blob_data):
-        colls = []
-        for cap in ("auto", 3):
-            oracle = harness.make_oracle(sim_config(), blob_data)
-            colls.append(harness.generate_constraints(blob_data, oracle, k=3, seed=0,
-                                                      max_cl_sets=cap))
-        assert colls[0] == colls[1]
 
     def test_deterministic(self, blob_data):
         colls = []
@@ -178,6 +182,21 @@ class TestRunAndEvaluate:
         for r in read_back:
             float(r["mean"])  # 4-decimal numeric strings
             assert r["n_seeds"] == "2"
+
+    def test_distinct_points_seed_normally(self, run_dir):
+        paths = list(run_dir.glob("result_*_s?.json"))
+        assert len(paths) == 4
+        for path in paths:
+            assert json.loads(path.read_text())["degenerate_seeding"] is False
+
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_degenerate_seeding_reported(self, tmp_path, algorithm):
+        # two distinct locations cannot seed three distinct centers
+        data = make_dataset([[0.0, 0.0]] * 4 + [[5.0, 5.0]] * 3, labels=[0] * 4 + [1] * 3)
+        config = sim_config(algorithm=algorithm, ratios=[0.0], seeds=[0])
+        harness.run_experiment(data, ConstraintCollection(), config, tmp_path)
+        doc = json.loads(next(tmp_path.glob("result_*.json")).read_text())
+        assert doc["degenerate_seeding"] is True
 
     def test_rerun_byte_identical(self, run_dir, blob_data, tmp_path):
         oracle = harness.make_oracle(sim_config(), blob_data)
