@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from setclust.dataset import EmbeddedDataset
-from setclust.geometry import GridPartition
+from setclust.geometry import GridPartition, point_dist
 from setclust.oracle import CLMembershipQuery, DisjointSets, MLGroupQuery, consistency_repeat
 
 ALPHA_PAIR = 5
@@ -65,10 +65,27 @@ class ConstraintCollection:
     shortfall: bool = False
 
 
+# float64 elements in one block of set_diameter's differences (512 KB)
+DIAMETER_BLOCK = 1 << 16
+
+
 def set_diameter(points: np.ndarray, members: tuple[int, ...]) -> float:
+    """Largest pairwise distance among ``members``.
+
+    Exact differences of a block of rows against every row, so the
+    temporaries hold about ``DIAMETER_BLOCK`` elements (one row's m×d when
+    that is larger) whatever the set size, and every pair keeps the
+    operations of the unblocked m×m×d form, so the result has the same bits.
+    """
     sub = points[list(members)]
-    diffs = sub[:, None, :] - sub[None, :, :]
-    return float(np.sqrt((diffs**2).sum(axis=2)).max())
+    m, d = sub.shape
+    step = max(1, DIAMETER_BLOCK // (m * d))
+    best = 0.0
+    for lo in range(0, m, step):
+        diffs = sub[lo:lo + step, None, :] - sub[None, :, :]
+        np.square(diffs, out=diffs)
+        best = max(best, float(np.sqrt(diffs.sum(axis=2)).max()))
+    return best
 
 
 def _chunks(seq: list[int], size: int):
@@ -83,16 +100,21 @@ def _locality_order(points: np.ndarray, cell: list[int]) -> list[int]:
     closest to the last one (ties to the lowest index), keeping mutually
     close points inside the same chunk when a large cell is split.
     """
-    if len(cell) <= 2:
-        return sorted(cell)
-    remaining = sorted(cell)
-    order = [remaining.pop(0)]
-    while remaining:
-        last = points[order[-1]]
-        dists = np.linalg.norm(points[remaining] - last, axis=1)
-        nxt = int(np.argmin(dists))
-        order.append(remaining.pop(nxt))
-    return order
+    ids = sorted(cell)
+    if len(ids) <= 2:
+        return ids
+    sub = points[ids]
+    buf = np.empty_like(sub)
+    visited = np.zeros(len(ids), dtype=bool)
+    last = 0
+    order = [0]
+    for _ in range(len(ids) - 1):
+        visited[last] = True
+        dists = point_dist(sub, sub[last], buf)
+        dists[visited] = np.inf
+        last = int(np.argmin(dists))
+        order.append(last)
+    return [ids[pos] for pos in order]
 
 
 def generate_ml_sets(data: EmbeddedDataset, oracle, grid: GridPartition,
@@ -329,6 +351,7 @@ def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int,
         raise ValueError("k >= 2 required")
     rng = np.random.default_rng(seed)
     X = data.points
+    buf = np.empty_like(X)
     uncovered = np.ones(data.n, dtype=bool)
     cl_sets: list[CLSet] = []
     rejections = 0
@@ -341,7 +364,7 @@ def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int,
         # than cost_kc from every member; eligible indices stay ascending
         open_ = uncovered.copy()
         open_[seed_point] = False
-        far = np.linalg.norm(X - X[seed_point], axis=1) > cost_kc
+        far = point_dist(X, X[seed_point], buf) > cost_kc
         while len(members) < k:
             eligible = np.flatnonzero(open_ & far)
             if eligible.size == 0:
@@ -356,7 +379,7 @@ def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int,
             verdict = oracle.query_cl_membership(query)
             if verdict.matched_index is None:
                 members.append(cand)
-                far &= np.linalg.norm(X - X[cand], axis=1) > cost_kc
+                far &= point_dist(X, X[cand], buf) > cost_kc
             else:
                 rejections += 1
             open_[cand] = False

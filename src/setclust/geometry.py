@@ -32,6 +32,23 @@ class GridPartition:
 
     levels: list[float]
     cells: dict[tuple[int, int], list[int]]
+    # rows whose distance to their leader lay within 1e-9 (relative) of the
+    # radius and were decided by the scalar norm instead
+    near_ties: int = 0
+
+
+def point_dist(X: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every row of ``X`` to the point ``c``.
+
+    The operations of ``np.linalg.norm(X - c, axis=1)``, so the same bits,
+    but the differences and their squares go into ``out`` (at least as many
+    rows as ``X``, same width; it may be ``X`` itself) instead of fresh n×d
+    temporaries.
+    """
+    buf = out[:len(X)]
+    np.subtract(X, c, out=buf)
+    np.square(buf, out=buf)
+    return np.sqrt(buf.sum(axis=1))
 
 
 def gonzalez_kcenter(data: EmbeddedDataset, k: int, seed: int,
@@ -50,11 +67,12 @@ def gonzalez_kcenter(data: EmbeddedDataset, k: int, seed: int,
     if first_index is None:
         first_index = int(np.random.default_rng(seed).integers(n))
     chosen = [first_index]
-    nearest = np.linalg.norm(X - X[first_index], axis=1)
+    buf = np.empty_like(X)
+    nearest = point_dist(X, X[first_index], buf)
     while len(chosen) < k:
         nxt = int(np.argmax(nearest))
         chosen.append(nxt)
-        nearest = np.minimum(nearest, np.linalg.norm(X - X[nxt], axis=1))
+        np.minimum(nearest, point_dist(X, X[nxt], buf), out=nearest)
     return KCenterResult(center_indices=chosen, cost=float(nearest.max()), nearest_dist=nearest)
 
 
@@ -86,8 +104,13 @@ def grid_partition(data: EmbeddedDataset, levels: list[float], kcenter: KCenterR
 
     A point belongs to the smallest level j whose radius covers its distance
     to the nearest k-center point; within the level, cells are grown around
-    leader points (first-fit in index order) with membership radius
-    r_j * sqrt(dim) / 6.
+    leader points with membership radius r_j * sqrt(dim) / 6: the lowest
+    unassigned point of the level leads a new cell, and every later
+    unassigned point of the level within the radius joins it. This is
+    first-fit in index order (a point joins the first earlier leader that
+    covers it), one vectorized distance per leader. A row-wise norm may
+    differ from the 1-D ``np.linalg.norm`` in the last bit, so rows within
+    1e-9 (relative) of the radius are decided by the 1-D norm.
     """
     if not levels:
         raise ValueError("levels must be nonempty")
@@ -96,18 +119,21 @@ def grid_partition(data: EmbeddedDataset, levels: list[float], kcenter: KCenterR
     level_of = np.clip(level_of, 0, len(levels) - 1)
     X = data.points
     half_diam = np.sqrt(data.dim) / 6.0
+    buf = np.empty_like(X)
     cells: dict[tuple[int, int], list[int]] = {}
-    leaders: dict[int, list[int]] = {}  # level -> leader point indices
-    for i in range(data.n):
-        j = int(level_of[i])
+    near_ties = 0
+    for j in np.unique(level_of).tolist():
         radius = levels[j] * half_diam
-        placed = False
-        for leader in leaders.get(j, []):
-            if np.linalg.norm(X[i] - X[leader]) <= radius:
-                cells[(j, leader)].append(i)
-                placed = True
-                break
-        if not placed:
-            leaders.setdefault(j, []).append(i)
-            cells[(j, i)] = [i]
-    return GridPartition(levels=list(levels), cells=cells)
+        todo = np.flatnonzero(level_of == j)
+        while todo.size:
+            leader, rest = int(todo[0]), todo[1:]
+            d = point_dist(np.take(X, rest, axis=0, out=buf[:rest.size]), X[leader], buf)
+            joins = d <= radius
+            for pos in np.flatnonzero(np.abs(d - radius) <= 1e-9 * radius).tolist():
+                joins[pos] = np.linalg.norm(X[rest[pos]] - X[leader]) <= radius
+                near_ties += 1
+            cells[(j, leader)] = [leader, *rest[joins].tolist()]
+            todo = rest[~joins]
+    # cells in order of their leader, as first-fit founds them
+    cells = dict(sorted(cells.items(), key=lambda item: item[0][1]))
+    return GridPartition(levels=list(levels), cells=cells, near_ties=near_ties)

@@ -36,6 +36,8 @@ class ExperimentConfig:
     mix_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if not self.seeds:

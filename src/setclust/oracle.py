@@ -183,7 +183,9 @@ class SimulatedOracle:
     def _same(self, id_a: int, id_b: int, repeat: int, context: tuple) -> bool:
         truth = self.labels[id_a] == self.labels[id_b]
         lo, hi = min(id_a, id_b), max(id_a, id_b)
-        if self._unit("pair", list(context), lo, hi, repeat) < self.error_rate:
+        # _unit is >= 0, so at error_rate 0 no draw can flip a verdict
+        if self.error_rate > 0 and self._unit("pair", list(context), lo, hi,
+                                              repeat) < self.error_rate:
             return not truth
         return truth
 

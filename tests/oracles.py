@@ -25,6 +25,39 @@ def pdist_broadcast(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
+def grid_first_fit(points: np.ndarray, levels: list[float],
+                   nearest_dist: np.ndarray) -> dict[tuple[int, int], list[int]]:
+    """Grid cells by first-fit over (point, leader) pairs: each point, in
+    index order, joins the first leader of its level within
+    r_j * sqrt(dim) / 6 (1-D ``np.linalg.norm``), else leads a new cell."""
+    level_of = np.clip(np.searchsorted(levels, nearest_dist, side="left"), 0, len(levels) - 1)
+    half_diam = np.sqrt(points.shape[1]) / 6.0
+    cells: dict[tuple[int, int], list[int]] = {}
+    leaders: dict[int, list[int]] = {}
+    for i in range(len(points)):
+        j = int(level_of[i])
+        radius = levels[j] * half_diam
+        for leader in leaders.get(j, []):
+            if np.linalg.norm(points[i] - points[leader]) <= radius:
+                cells[(j, leader)].append(i)
+                break
+        else:
+            leaders.setdefault(j, []).append(i)
+            cells[(j, i)] = [i]
+    return cells
+
+
+def locality_order_pop(points: np.ndarray, cell: list[int]) -> list[int]:
+    """Nearest-neighbor chain from the lowest index by popping the closest
+    remaining member (ties to the lowest index) off a sorted list."""
+    remaining = sorted(cell)
+    order = [remaining.pop(0)]
+    while remaining:
+        dists = np.linalg.norm(points[remaining] - points[order[-1]], axis=1)
+        order.append(remaining.pop(int(np.argmin(dists))))
+    return order
+
+
 def kcenter_brute_force(points: np.ndarray, k: int) -> float:
     """Optimal min-max k-center cost by enumerating every k-subset."""
     n = len(points)

@@ -144,17 +144,31 @@ class TestErrors:
                      "--constraints", str(workspace / "constraints.json"),
                      "--k", "3", "--seeds", "0", *extra, "--out-dir", str(out)])
 
-    def test_one_penalty_rejected_before_output(self, workspace, tmp_path):
-        with pytest.raises(ValueError, match="penalties"):
-            self._cluster(workspace, tmp_path / "out", "--penalties", "1.0")
+    def _rejected(self, capsys, match, call):
+        with pytest.raises(SystemExit) as exc:
+            call()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: setclust")
+        assert match in err
+
+    def test_one_penalty_rejected_before_output(self, workspace, tmp_path, capsys):
+        self._rejected(capsys, "penalties", lambda: self._cluster(
+            workspace, tmp_path / "out", "--penalties", "1.0"))
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("penalties", ["bogus", [1.0], "1,2,3"])
-    def test_bad_config_penalties_rejected_before_output(self, workspace, tmp_path, penalties):
+    def test_bad_config_penalties_rejected_before_output(self, workspace, tmp_path, capsys,
+                                                         penalties):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"penalties": penalties}))
-        with pytest.raises(ValueError, match="penalties"):
-            self._cluster(workspace, tmp_path / "out", "--config", str(config))
+        self._rejected(capsys, "penalties", lambda: self._cluster(
+            workspace, tmp_path / "out", "--config", str(config)))
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_k_rejected_before_output(self, workspace, tmp_path, capsys):
+        self._rejected(capsys, "k must be an integer >= 1", lambda: self._cluster(
+            workspace, tmp_path / "out", "--k", "0"))
         assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand(self, capsys):

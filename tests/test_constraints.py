@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from oracles import generate_cl_sets_loop, threshold_linear_scan
-from setclust import geometry
+from oracles import (
+    generate_cl_sets_loop,
+    locality_order_pop,
+    pdist_broadcast,
+    threshold_linear_scan,
+)
+from setclust import constraints, geometry
 from setclust.constraints import (
     CLSet,
     MLSet,
@@ -35,6 +40,42 @@ class TestMLSetValidation:
     def test_duplicates(self):
         with pytest.raises(ValueError):
             CLSet(members=(1, 1))
+
+
+class TestSetDiameter:
+    @pytest.mark.parametrize("block", [constraints.DIAMETER_BLOCK, 1])
+    def test_bit_equal_to_broadcast(self, monkeypatch, block):
+        # block 1 takes one row per block on every set
+        monkeypatch.setattr(constraints, "DIAMETER_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for trial in range(200):
+            n, d = int(rng.integers(2, 80)), int(rng.integers(1, 70))
+            points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+            if trial % 4 == 0:
+                points = np.round(points)
+            members = tuple(rng.permutation(n)[:int(rng.integers(2, n + 1))].tolist())
+            sub = points[list(members)]
+            want = float(np.sqrt(pdist_broadcast(sub, sub)).max())
+            assert set_diameter(points, members) == want
+
+    def test_set_larger_than_a_block(self):
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(300, 64))
+        members = tuple(range(300))
+        assert 300 * 300 * 64 > constraints.DIAMETER_BLOCK  # more than one block
+        want = float(np.sqrt(pdist_broadcast(points, points)).max())
+        assert set_diameter(points, members) == want
+
+
+class TestLocalityOrder:
+    def test_same_chain_as_popping_reference(self):
+        rng = np.random.default_rng(0)
+        for trial in range(100):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            # rounded coordinates give distance ties, broken to the lowest index
+            points = np.round(rng.normal(size=(n + 5, d)) * 2)
+            cell = rng.permutation(n + 5)[:n].tolist()
+            assert constraints._locality_order(points, cell) == locality_order_pop(points, cell)
 
 
 class TestGenerateMLSets:

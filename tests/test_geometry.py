@@ -4,14 +4,41 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_dataset
-from oracles import kcenter_brute_force
+from oracles import grid_first_fit, kcenter_brute_force
 from setclust.geometry import (
+    KCenterResult,
     gonzalez_kcenter,
     grid_levels,
     grid_partition,
+    point_dist,
 )
+
+
+class TestPointDist:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda d: st.tuples(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 20), st.just(d)),
+                   elements=st.floats(-1e6, 1e6)),
+        hnp.arrays(np.float64, d, elements=st.floats(-1e6, 1e6)))))
+    def test_bit_equal_to_norm(self, case):
+        X, c = case
+        expected = np.linalg.norm(X - c, axis=1).tobytes()
+        assert point_dist(X, c, np.empty_like(X)).tobytes() == expected
+        # a reused buffer with spare rows, then X's own copy as the buffer
+        spare = np.full((len(X) + 3, X.shape[1]), np.nan)
+        assert point_dist(X, c, spare).tobytes() == expected
+        assert point_dist(X, c, spare).tobytes() == expected
+        Y = X.copy()
+        assert point_dist(Y, c, Y).tobytes() == expected
+
+    def test_single_point_and_single_dimension(self):
+        X = np.array([[3.0]])
+        assert point_dist(X, np.array([-1.5]), np.empty((1, 1))).tolist() == [4.5]
 
 
 class TestGonzalezKCenter:
@@ -107,3 +134,79 @@ class TestGridPartition:
             bound = levels[level] * np.sqrt(data.dim)
             for a, b in itertools.combinations(cell, 2):
                 assert np.linalg.norm(data.points[a] - data.points[b]) <= bound + 1e-9
+
+
+@st.composite
+def integer_grids(draw):
+    """Small-integer points (many duplicates) with levels whose membership
+    radius r * sqrt(dim) / 6 is an integer r up to rounding, so many points
+    lie exactly on a leader's radius; dims 1, 4, 9, 16 have integer roots."""
+    dim = draw(st.sampled_from([1, 4, 9, 16]))
+    n = draw(st.integers(1, 30))
+    coords = draw(st.lists(st.integers(-3, 3), min_size=n * dim, max_size=n * dim))
+    radii = sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)))
+    levels = [6.0 * r / np.sqrt(dim) for r in radii]
+    nearest = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    return np.array(coords, dtype=np.float64).reshape(n, dim), levels, np.array(nearest)
+
+
+class TestGridMatchesFirstFit:
+    @staticmethod
+    def check(points, levels, nearest):
+        kcr = KCenterResult(center_indices=[0], cost=float(nearest.max()),
+                            nearest_dist=nearest)
+        grid = grid_partition(make_dataset(points), levels, kcr)
+        # same cells, same members in the same order, same dict order
+        assert list(grid.cells.items()) == list(grid_first_fit(points, levels,
+                                                               nearest).items())
+        return grid
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_grids())
+    def test_integer_grids(self, instance):
+        self.check(*instance)
+
+    def test_points_on_the_radius_are_near_ties(self):
+        # 1-D, radius 1: points 1 and 3 lie exactly on the radius of
+        # leaders 0 and 2, and join them
+        points = np.array([[0.0], [1.0], [2.0], [3.0]])
+        grid = self.check(points, [6.0], np.full(4, 6.0))
+        assert grid.cells == {(0, 0): [0, 1], (0, 2): [2, 3]}
+        assert grid.near_ties == 2
+
+    def test_last_bit_disagreements_follow_the_scalar_norm(self):
+        # points scaled onto the radius, where the row-wise and the 1-D norm
+        # land on different sides of it in some draws
+        dim, level = 16, 1.0
+        radius = level * (np.sqrt(dim) / 6.0)
+        rng = np.random.default_rng(0)
+        seen = set()
+        for _ in range(200):
+            u = rng.normal(size=dim)
+            x = u * (radius / np.linalg.norm(u))
+            scalar = bool(np.linalg.norm(x) <= radius)
+            if scalar == bool(np.sqrt(np.square(x).sum()) <= radius):
+                continue
+            seen.add(scalar)
+            grid = self.check(np.vstack([np.zeros(dim), x]), [level], np.full(2, level))
+            assert (grid.cells == {(0, 0): [0, 1]}) == scalar
+            assert grid.near_ties == 1
+        assert seen == {True, False}
+
+    def test_zero_cost_single_level(self):
+        points = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+        data = make_dataset(points)
+        kcr = gonzalez_kcenter(data, 2, seed=0)
+        assert kcr.cost == 0.0
+        grid = self.check(points, grid_levels(kcr.cost, data.n, data.dim), kcr.nearest_dist)
+        assert grid.cells == {(0, 0): [0, 2], (0, 1): [1, 3]}
+
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    def test_random_blobs(self, dim):
+        rng = np.random.default_rng(dim)
+        for trial in range(30):
+            n = int(rng.integers(2, 200))
+            points = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10)
+            data = make_dataset(points)
+            kcr = gonzalez_kcenter(data, int(rng.integers(1, min(n, 10) + 1)), seed=trial)
+            self.check(points, grid_levels(kcr.cost, n, dim), kcr.nearest_dist)

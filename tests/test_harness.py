@@ -34,6 +34,11 @@ def sim_config(**kw):
 
 
 class TestExperimentConfig:
+    @pytest.mark.parametrize("k", [0, -1, 2.0, True, "3", None])
+    def test_bad_k(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            ExperimentConfig(k=k)
+
     def test_bad_algorithm(self):
         with pytest.raises(ValueError):
             ExperimentConfig(k=3, algorithm="dbscan")

@@ -36,6 +36,18 @@ class TestSimulatedOracleNoiseless:
         resp = oracle.query_ml_group(ml_query([0, 1, 2]))
         assert resp.canonical() == {frozenset({0, 1}), frozenset({2})}
 
+    def test_no_draws_at_zero_noise(self, monkeypatch):
+        def no_draw(self, *key):
+            raise AssertionError(f"_unit drawn at error_rate 0 for {key}")
+
+        monkeypatch.setattr(SimulatedOracle, "_unit", no_draw)
+        oracle = make_oracle(["a", "b", "a", "c", "b"])
+        resp = oracle.query_ml_group(ml_query(range(5)))
+        assert resp.canonical() == {frozenset({0, 2}), frozenset({1, 4}), frozenset({3})}
+        query = CLMembershipQuery(set_ids=(0, 1, 3), set_texts=("t0", "t1", "t3"),
+                                  candidate_id=4, candidate_text="t4")
+        assert oracle.query_cl_membership(query).matched_index == 1
+
     def test_all_distinct_labels(self):
         oracle = make_oracle(["a", "b", "c", "d"])
         resp = oracle.query_ml_group(ml_query([0, 1, 2, 3]))
