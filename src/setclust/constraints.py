@@ -259,14 +259,23 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
 
 
 def dedup_ml_sets(ml_sets: list[MLSet]) -> list[MLSet]:
-    """Drop any ML set whose members are a subset of another's."""
+    """Drop any ML set whose members are a subset of another's.
+
+    Of equal sets the first is kept. Set ``i`` is tested only against the
+    sets holding its first member, found in an index from member to sets:
+    any superset must hold that member.
+    """
     keep: list[MLSet] = []
     member_sets = [set(s.members) for s in ml_sets]
+    holders: dict[int, list[int]] = {}
+    for j, s in enumerate(ml_sets):
+        for member in s.members:
+            holders.setdefault(member, []).append(j)
     for i, s in enumerate(ml_sets):
         dominated = any(
             j != i and member_sets[i] <= member_sets[j]
             and (member_sets[i] != member_sets[j] or j < i)
-            for j in range(len(ml_sets))
+            for j in holders[s.members[0]]
         )
         if not dominated:
             keep.append(s)
@@ -355,21 +364,26 @@ def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int,
     uncovered = np.ones(data.n, dtype=bool)
     cl_sets: list[CLSet] = []
     rejections = 0
+
+    def far_from(eligible: np.ndarray, point: int) -> np.ndarray:
+        # the indices are in range; "clip" writes straight into buf, where
+        # the default "raise" would stage the rows in a fresh temporary
+        rows = np.take(X, eligible, axis=0, out=buf[:eligible.size], mode="clip")
+        return eligible[point_dist(rows, X[point], buf) > cost_kc]
+
     while uncovered.any():
         if max_sets is not None and len(cl_sets) >= max_sets:
             break
-        seed_point = int(rng.choice(np.flatnonzero(uncovered)))
+        # ascending uncovered points not yet probed for this set and farther
+        # than cost_kc from every member; it only shrinks while the set grows
+        eligible = np.flatnonzero(uncovered)
+        pos = int(rng.integers(eligible.size))
+        seed_point = int(eligible[pos])
         members = [seed_point]
-        # uncovered points not yet probed for this set, and points farther
-        # than cost_kc from every member; eligible indices stay ascending
-        open_ = uncovered.copy()
-        open_[seed_point] = False
-        far = point_dist(X, X[seed_point], buf) > cost_kc
-        while len(members) < k:
-            eligible = np.flatnonzero(open_ & far)
-            if eligible.size == 0:
-                break
-            cand = int(rng.choice(eligible))
+        eligible = far_from(np.delete(eligible, pos), seed_point)
+        while len(members) < k and eligible.size:
+            pos = int(rng.integers(eligible.size))
+            cand = int(eligible[pos])
             query = CLMembershipQuery(
                 set_ids=tuple(members),
                 set_texts=tuple(data.text(m) for m in members),
@@ -377,12 +391,12 @@ def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int,
                 candidate_text=data.text(cand),
             )
             verdict = oracle.query_cl_membership(query)
+            eligible = np.delete(eligible, pos)
             if verdict.matched_index is None:
                 members.append(cand)
-                far &= point_dist(X, X[cand], buf) > cost_kc
+                eligible = far_from(eligible, cand)
             else:
                 rejections += 1
-            open_[cand] = False
         uncovered[members] = False
         if len(members) >= 2:
             cl_sets.append(CLSet(members=tuple(members)))

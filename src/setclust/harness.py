@@ -73,7 +73,12 @@ def generate_constraints(data: EmbeddedDataset, oracle, k: int, seed: int,
 
     At most k CL sets are grown, which bounds the membership-query budget
     while still giving the local search cross-cluster separation evidence.
+    ``k`` and ``m_max`` are checked before the oracle is asked anything.
     """
+    if k < 2:
+        raise ValueError("k >= 2 required")
+    if m_max < 2:
+        raise ValueError("m_max >= 2 required")
     kcr = geometry.gonzalez_kcenter(data, k, seed)
     levels = geometry.grid_levels(kcr.cost, data.n, data.dim)
     grid = geometry.grid_partition(data, levels, kcr)

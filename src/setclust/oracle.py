@@ -1,7 +1,8 @@
 """Same-topic decision sources: a label-driven simulated oracle and a remote
 chat-completion backend. Both share the query ledger used for the
 query-efficiency accounting. The union-find here closes must-link verdicts
-transitively, for the oracle and for the constraint and clustering layers.
+transitively for the constraint and clustering layers; the simulated oracle
+closes its pairwise verdicts with a component search.
 """
 
 from __future__ import annotations
@@ -141,17 +142,30 @@ class DisjointSets:
 
 
 def _groups_from_pairs(m: int, same) -> tuple[tuple[int, ...], ...]:
-    """Transitive closure of pairwise same-topic verdicts.
+    """Transitive closure of pairwise same-topic verdicts, by component search.
 
-    A pair already inside one component is not asked: its verdict cannot
-    change the closure.
+    The lowest unvisited position roots a component. Each member of the
+    component, in the order it joined, is asked against every position still
+    unvisited, as ``same(lower, higher)``; a "same" verdict adds that position
+    to the component. So each unordered pair is asked at most once, and only
+    while its two positions lie in different components: a pair inside one
+    component cannot change the closure. Groups are ascending, ordered by
+    smallest member.
     """
-    sets = DisjointSets(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if sets.find(i) != sets.find(j) and same(i, j):
-                sets.union(i, j)
-    return tuple(tuple(g) for g in sets.groups())
+    unvisited = list(range(m))
+    groups = []
+    while unvisited:
+        component = [unvisited.pop(0)]
+        for member in component:  # grows while it is walked
+            apart = []
+            for other in unvisited:
+                if same(min(member, other), max(member, other)):
+                    component.append(other)
+                else:
+                    apart.append(other)
+            unvisited = apart
+        groups.append(tuple(sorted(component)))
+    return tuple(groups)
 
 
 class SimulatedOracle:

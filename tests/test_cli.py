@@ -171,6 +171,15 @@ class TestErrors:
             workspace, tmp_path / "out", "--k", "0"))
         assert not (tmp_path / "out").exists()
 
+    def test_one_k_rejected_before_any_query(self, workspace, tmp_path, capsys):
+        transcript = tmp_path / "t.jsonl"
+        self._rejected(capsys, "k >= 2 required", lambda: main([
+            "gen-constraints", "--corpus", str(workspace / "corpus.jsonl"),
+            "--embeddings", str(workspace / "emb.bin"), "--k", "1",
+            "--transcript", str(transcript), "--out", str(tmp_path / "cons.json")]))
+        assert transcript.read_text() == ""
+        assert not (tmp_path / "cons.json").exists()
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])

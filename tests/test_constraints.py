@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from oracles import (
+    dedup_ml_sets_loop,
     generate_cl_sets_loop,
     locality_order_pop,
     pdist_broadcast,
@@ -24,6 +27,7 @@ from setclust.constraints import (
     mix_constraints,
     set_diameter,
 )
+from setclust.dataset import SyntheticSpec, generate_synthetic
 from setclust.oracle import MLGroupResponse, SimulatedOracle
 
 
@@ -278,6 +282,60 @@ class TestGenerateCLSets:
         assert [s.members for s in got[0]] == [s.members for s in want[0]]
         assert got[1] == want[1]
 
+    @staticmethod
+    def _same_as_loop(data, cost_kc, k, seed, p=0.0, max_sets=None):
+        got = generate_cl_sets(data, sim_oracle(data, p=p, seed=seed), cost_kc=cost_kc,
+                               k=k, seed=seed, max_sets=max_sets)
+        want = generate_cl_sets_loop(data, sim_oracle(data, p=p, seed=seed),
+                                     cost_kc, k, seed, max_sets=max_sets)
+        assert [s.members for s in got[0]] == [s.members for s in want[0]]
+        assert got[1] == want[1]
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noiseless_same_as_reference_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 6, size=120)
+        pts = rng.normal(size=(120, 3)) + 4.0 * labels[:, None]
+        self._same_as_loop(make_dataset(pts, labels=labels), 2.0 + seed, k=6, seed=seed)
+
+    @pytest.mark.parametrize("cost_kc", [1.0, 2.0, 5.0])
+    def test_points_exactly_cost_kc_apart_stay_ineligible(self, cost_kc):
+        # integer lattice: many gaps equal cost_kc exactly (1, 2, and 3-4-5)
+        rng = np.random.default_rng(4)
+        pts = np.array([[x, y] for x in range(8) for y in range(8)], dtype=float)
+        labels = rng.integers(0, 10, size=len(pts))
+        data = make_dataset(pts, labels=labels)
+        sets, _ = self._same_as_loop(data, cost_kc, k=5, seed=1, p=0.1)
+        for s in sets:
+            sub = pts[list(s.members)]
+            gaps = np.linalg.norm(sub[:, None] - sub[None], axis=2)
+            assert (gaps[np.triu_indices(len(sub), 1)] > cost_kc).all()
+
+    @pytest.mark.parametrize("cost_kc", [0.0, 0.5])
+    def test_coincident_points(self, cost_kc):
+        # five sites, each holding eight points of mixed labels
+        rng = np.random.default_rng(5)
+        pts = np.repeat(rng.normal(size=(5, 2)) * 10.0, 8, axis=0)
+        labels = rng.integers(0, 7, size=len(pts))
+        self._same_as_loop(make_dataset(pts, labels=labels), cost_kc, k=4, seed=2, p=0.05)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_k_above_topic_count(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 3, size=60)
+        pts = rng.normal(size=(60, 2)) * 20.0
+        sets, rejections = self._same_as_loop(make_dataset(pts, labels=labels), 1.0,
+                                              k=8, seed=seed)
+        assert rejections > 0
+        assert all(len(s.members) <= 3 for s in sets)
+
+    def test_benchmark_sized_instance(self):
+        data = generate_synthetic(SyntheticSpec(k_true=30, n=1000, dim=16, separation=3.0,
+                                                seed=0))
+        cost_kc = geometry.gonzalez_kcenter(data, 30, 1).cost
+        self._same_as_loop(data, cost_kc, k=30, seed=1, max_sets=30)
+
 
 class TestConsolidateMLSets:
     def _data(self, coords, labels):
@@ -334,6 +392,24 @@ class TestDedup:
         kept = dedup_ml_sets([a, b])
         assert len(kept) == 1
         assert kept[0].level == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_as_reference_loop(self, data):
+        # base sets over ten points share members; derived sets are exact
+        # duplicates or nested subsets of a base set, some in reversed order
+        members = st.lists(st.integers(0, 9), min_size=2, max_size=6, unique=True)
+        base = data.draw(st.lists(members, min_size=1, max_size=8))
+        derived = [
+            base[i][:size][::-1] if flip else base[i][:size]
+            for i, size, flip in data.draw(st.lists(
+                st.tuples(st.integers(0, len(base) - 1), st.integers(2, 6), st.booleans()),
+                max_size=8))
+        ]
+        pool = data.draw(st.permutations(base + derived))
+        # the level numbers the sets, so equality also checks which copy is kept
+        ml_sets = [MLSet(members=tuple(m), level=pos) for pos, m in enumerate(pool)]
+        assert dedup_ml_sets(ml_sets) == dedup_ml_sets_loop(ml_sets)
 
 
 class TestMixConstraints:

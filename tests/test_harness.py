@@ -120,6 +120,13 @@ class TestGenerateConstraints:
         assert [s.members for s in colls[0].cl_sets] == [s.members for s in colls[1].cl_sets]
         assert colls[0].meta == colls[1].meta
 
+    @pytest.mark.parametrize("k, m_max", [(1, 10), (3, 1)])
+    def test_bad_k_or_m_max_rejected_before_any_query(self, blob_data, k, m_max):
+        oracle = harness.make_oracle(sim_config(), blob_data)
+        with pytest.raises(ValueError, match=">= 2 required"):
+            harness.generate_constraints(blob_data, oracle, k=k, seed=0, m_max=m_max)
+        assert oracle.ledger.total == 0
+
 
 class TestFscEquivalentQueries:
     def test_binomial_counts(self):

@@ -353,3 +353,42 @@ class TestDisjointSets:
 
         assert _groups_from_pairs(4, same) == ((0, 1, 2, 3),)
         assert asked == [(0, 1), (0, 2), (0, 3)]
+
+
+verdict_tables = st.integers(1, 40).flatmap(lambda m: st.tuples(
+    st.just(m), st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                        max_size=80)))
+
+
+class TestGroupsFromPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(verdict_tables)
+    def test_components_of_the_same_graph_each_pair_asked_once(self, case):
+        m, edges = case
+        same_pairs = {frozenset(e) for e in edges}
+        asked = []
+
+        def same(i, j):
+            asked.append((i, j))
+            return frozenset((i, j)) in same_pairs
+
+        groups = _groups_from_pairs(m, same)
+        assert [list(g) for g in groups] == components_bfs(m, edges)
+        assert all(i < j for i, j in asked)
+        assert len(set(asked)) == len(asked)
+
+    def test_one_topic_query_asks_one_pair_per_joining_text(self):
+        m = 800
+        oracle = make_oracle([7] * m)
+        asks = 0
+        truth = oracle._same
+
+        def counting_same(*args):
+            nonlocal asks
+            asks += 1
+            return truth(*args)
+
+        oracle._same = counting_same
+        resp = oracle.query_ml_group(ml_query(range(m)))
+        assert resp.groups == (tuple(range(m)),)
+        assert asks == m - 1
