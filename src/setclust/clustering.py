@@ -159,6 +159,11 @@ def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
     proportionally to weight times squared distance to the nearest chosen
     center. When fewer distinct points than k exist, sampling falls back to
     weight-proportional duplicates and the result is flagged degenerate.
+
+    A center's squared distances come from one matrix-vector product,
+    ``|x|^2 - 2 x.c + |c|^2``, on coordinates shifted by their mean. Rows
+    where that reads at most ``1e-12 (|x|^2 + |c|^2)`` are recomputed by
+    exact differences, so a coincident point reads exactly 0.
     """
     coords = np.asarray(coords, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -167,18 +172,26 @@ def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     m = coords.shape[0]
     first = int(rng.choice(m, p=weights / weights.sum()))
-    centers = [coords[first]]
+    chosen = [first]
     degenerate = False
-    diff = np.empty_like(coords)
+    shifted = coords - coords.mean(axis=0)
+    norms = np.einsum("ij,ij->i", shifted, shifted)
 
-    def sq_dist(center: np.ndarray) -> np.ndarray:
-        # exact per-center differences, so a coincident point reads exactly 0
-        np.subtract(coords, center, out=diff)
+    def sq_dist(idx: int, out: np.ndarray) -> np.ndarray:
+        np.matmul(shifted, shifted[idx], out=out)
+        out *= -2.0
+        out += norms
+        out += norms[idx]
+        np.maximum(out, 0.0, out=out)
+        near = np.flatnonzero(out <= 1e-12 * (norms + norms[idx]))
+        diff = coords[near] - coords[idx]
         np.square(diff, out=diff)
-        return diff.sum(axis=1)
+        out[near] = diff.sum(axis=1)
+        return out
 
-    d2 = sq_dist(centers[0])
-    while len(centers) < k:
+    d2 = sq_dist(first, np.empty(m))
+    buf = np.empty(m)
+    while len(chosen) < k:
         mass = weights * d2
         total = mass.sum()
         if total <= 0:
@@ -186,9 +199,9 @@ def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
             idx = int(rng.choice(m, p=weights / weights.sum()))
         else:
             idx = int(rng.choice(m, p=mass / total))
-        centers.append(coords[idx])
-        d2 = np.minimum(d2, sq_dist(coords[idx]))
-    return np.vstack(centers), degenerate
+        chosen.append(idx)
+        np.minimum(d2, sq_dist(idx, buf), out=d2)
+    return coords[chosen], degenerate
 
 
 def _merge_hard_sets(ml_sets: list[MLSet]) -> Blocks:
@@ -491,7 +504,11 @@ def _update_centers(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> n
 
 
 def _objective(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> float:
-    return float(((X - centers[labels]) ** 2).sum())
+    """Sum of squared point-to-assigned-center distances, in one n x d buffer."""
+    buf = np.take(centers, labels, axis=0)
+    np.subtract(X, buf, out=buf)
+    np.square(buf, out=buf)
+    return float(buf.sum())
 
 
 def resolve_penalties(data: EmbeddedDataset, k: int, seed: int,
@@ -517,7 +534,10 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
         raise ValueError(f"k must be in [1, {data.n}]")
     conv = convergence if convergence is not None else Convergence()
     tol = conv.resolve_tol(data.points)
-    pen = penalties if penalties is not None else resolve_penalties(data, k, seed, conv)
+    pen = penalties
+    if pen is None:
+        # the baseline runs on the same data, so it reuses the resolved tol
+        pen = resolve_penalties(data, k, seed, Convergence(tol=tol, max_iters=conv.max_iters))
     X = data.points
 
     ml_sets = collection.ml_sets

@@ -14,6 +14,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
 import requests
 
 
@@ -344,6 +345,8 @@ class RemoteOracle:
         }
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
+            if attempt and self.backoff:  # only between attempts, never after the last
+                time.sleep(self.backoff * 2 ** (attempt - 1))
             start = time.monotonic()
             try:
                 content = self._send(payload)
@@ -351,7 +354,6 @@ class RemoteOracle:
             except Exception as exc:  # noqa: BLE001 - retried, then surfaced
                 last_error = exc
                 self.ledger.record_failure()
-                time.sleep(self.backoff * 2**attempt if self.backoff else 0)
                 continue
             self.ledger.record(kind, {**context, "request": payload, "response": content,
                                       "latency_ms": round(1000 * (time.monotonic() - start), 1)})
@@ -362,10 +364,19 @@ class RemoteOracle:
 
     def query_ml_group(self, query: MLGroupQuery, repeat: int = 0,
                        kind: str = "ml") -> MLGroupResponse:
-        items = "\n".join(f"{i}. {t}" for i, t in enumerate(query.texts))
-        prompt = ML_PROMPT.format(items=items)
-        return self._chat(prompt, lambda c: parse_ml_response(c, len(query.ids)), kind,
-                          {"kind": "ml", "ids": list(query.ids), "repeat": repeat})
+        """Repeat 0 lists the texts in query order; repeat r > 0 in an order
+        drawn from ``np.random.default_rng(r)``, so repeats at temperature 0
+        still differ. Groups are returned as query positions either way."""
+        m = len(query.ids)
+        context = {"kind": "ml", "ids": list(query.ids), "repeat": repeat}
+        order = list(range(m))
+        if repeat > 0:
+            order = np.random.default_rng(repeat).permutation(m).tolist()
+            context["order"] = order
+        items = "\n".join(f"{i}. {query.texts[q]}" for i, q in enumerate(order))
+        listed = self._chat(ML_PROMPT.format(items=items), lambda c: parse_ml_response(c, m),
+                            kind, context)
+        return MLGroupResponse(groups=tuple(tuple(order[i] for i in g) for g in listed.groups))
 
     def query_cl_membership(self, query: CLMembershipQuery, repeat: int = 0,
                             kind: str = "cl") -> CLMembershipResponse:

@@ -337,6 +337,41 @@ def sim_oracle_groups_reference(labels, ids, flip) -> set[frozenset[int]]:
 # clustering
 
 
+def kmeanspp_seed_exact(coords: np.ndarray, weights: np.ndarray, k: int,
+                        seed: int) -> tuple[np.ndarray, bool]:
+    """Weighted D^2 seeding with exact per-center differences (three passes
+    over an m x d buffer per center): the reference for ``kmeanspp_seed``,
+    which reads each center's distances off one matrix-vector product."""
+    coords = np.asarray(coords, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.sum() < k:
+        raise ValueError("total weight must be at least k")
+    rng = np.random.default_rng(seed)
+    m = coords.shape[0]
+    first = int(rng.choice(m, p=weights / weights.sum()))
+    centers = [coords[first]]
+    degenerate = False
+    diff = np.empty_like(coords)
+
+    def sq_dist(center: np.ndarray) -> np.ndarray:
+        np.subtract(coords, center, out=diff)
+        np.square(diff, out=diff)
+        return diff.sum(axis=1)
+
+    d2 = sq_dist(centers[0])
+    while len(centers) < k:
+        mass = weights * d2
+        total = mass.sum()
+        if total <= 0:
+            degenerate = True
+            idx = int(rng.choice(m, p=weights / weights.sum()))
+        else:
+            idx = int(rng.choice(m, p=mass / total))
+        centers.append(coords[idx])
+        d2 = np.minimum(d2, sq_dist(coords[idx]))
+    return np.vstack(centers), degenerate
+
+
 def partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarray,
                        w_ml: float) -> list[list[int]]:
     """Split one soft ML set by nearest center, then merge while profitable.

@@ -13,6 +13,7 @@ from oracles import (
     ALG2_TRACE_GAINS,
     ALG2_TRACE_RELEASE_WCL,
     cl_local_search_loop,
+    kmeanspp_seed_exact,
     partition_soft_set,
     pdist_broadcast,
 )
@@ -21,6 +22,7 @@ from setclust.clustering import (
     Convergence,
     Penalties,
     _flatten,
+    _objective,
     _update_centers,
     build_groups,
     center_dist,
@@ -109,6 +111,38 @@ class TestKmeansppSeed:
         a, _ = kmeanspp_seed(coords, np.ones(30), 4, seed=9)
         b, _ = kmeanspp_seed(coords, np.ones(30), 4, seed=9)
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), dim=st.integers(1, 40),
+       levels=st.integers(0, 5), offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+       data=st.data())
+def test_seeding_matches_exact_differences(seed, m, dim, levels, offset, data):
+    # m rows drawn with replacement from a few distinct ones, so some
+    # instances run out of distinct points (degenerate) before k centers;
+    # the distinct rows lie on an integer grid, or (levels 0) are floats
+    # whose norm expansion leaves rounding residue on coincident points
+    rng = np.random.default_rng(seed)
+    distinct = data.draw(st.integers(1, m), label="distinct")
+    if levels:
+        rows = rng.integers(0, levels, size=(distinct, dim)).astype(np.float64)
+    else:
+        rows = rng.normal(size=(distinct, dim)) * 10
+    coords = rows[rng.integers(0, distinct, size=m)] + offset * rng.uniform(0.5, 1.0, size=dim)
+    weights = rng.integers(1, 5, size=m)
+    k = data.draw(st.integers(1, m), label="k")
+    got, got_degenerate = kmeanspp_seed(coords, weights, k, seed)
+    want, want_degenerate = kmeanspp_seed_exact(coords, weights, k, seed)
+    assert np.array_equal(got, want)
+    assert got_degenerate == want_degenerate
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_objective_bit_equal_to_broadcast(rng, offset):
+    X = rng.normal(size=(3000, 17)) + offset
+    centers = rng.normal(size=(9, 17)) + offset
+    labels = rng.integers(0, 7, size=3000)  # two centers hold no point
+    assert _objective(X, labels, centers) == float(((X - centers[labels]) ** 2).sum())
 
 
 class TestSoftSetPartition:
@@ -434,3 +468,16 @@ class TestPenalties:
         pen = resolve_penalties(data, k=4, seed=2)
         assert pen.w_ml == pytest.approx(base.objective / 25)
         assert pen.w_cl == pytest.approx(base.objective / 4)
+
+    def test_auto_penalties_resolve_tol_once(self, rng, monkeypatch):
+        computed = []
+        resolve_tol = Convergence.resolve_tol
+
+        def counting(self, points):
+            computed.append(self.tol is None)
+            return resolve_tol(self, points)
+
+        monkeypatch.setattr(Convergence, "resolve_tol", counting)
+        data = make_dataset(rng.normal(size=(40, 2)))
+        lsck_hc(data, ConstraintCollection(), None, k=3, seed=0)
+        assert computed.count(True) == 1

@@ -1,6 +1,7 @@
 """Simulated oracle, consistency repeats, parsers, and the remote client."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -257,6 +258,19 @@ class TestRemoteOracle:
         with pytest.raises(OracleBackendError, match="2 attempts"):
             oracle.query_ml_group(ml_query([0, 1]))
 
+    def test_backoff_sleeps_only_between_attempts(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("setclust.oracle.time.sleep", sleeps.append)
+
+        def broken(payload):
+            raise RuntimeError("down")
+
+        oracle = RemoteOracle(model="m", send=broken, backoff=1, max_attempts=3)
+        with pytest.raises(OracleBackendError):
+            oracle.query_ml_group(ml_query([0, 1]))
+        assert sleeps == [1, 2]
+        assert oracle.ledger.failed_attempts == 3
+
     def test_unparseable_never_silently_dropped(self):
         oracle = RemoteOracle(model="m", send=lambda p: "gibberish", backoff=0)
         with pytest.raises(OracleBackendError):
@@ -285,6 +299,46 @@ class TestRemoteOracle:
         assert seen["model"] == "test-model"
         content = seen["messages"][0]["content"]
         assert "apple pie" in content and "cherry tart" in content
+
+
+class TestRemoteRepeats:
+    TEXTS = ("apple pie", "berry jam", "apple tart", "cherry cola", "berry pie", "apple juice")
+
+    @staticmethod
+    def by_first_word(sent):
+        """A backend that groups the listed texts by their first word, and
+        records the texts in the order each prompt lists them."""
+        def send(payload):
+            listed = re.findall(r"^(\d+)\. (.*)$", payload["messages"][0]["content"], re.M)
+            sent.append([text for _, text in listed])
+            topics: dict[str, list[str]] = {}
+            for pos, text in listed:
+                topics.setdefault(text.split()[0], []).append(pos)
+            return "\n".join("GROUP: " + ", ".join(g) for g in topics.values())
+        return send
+
+    def test_repeats_list_texts_in_different_orders(self, tmp_path):
+        sent = []
+        path = tmp_path / "t.jsonl"
+        oracle = RemoteOracle(model="m", send=self.by_first_word(sent), backoff=0,
+                              ledger=QueryLedger(transcript_path=str(path)))
+        query = MLGroupQuery(ids=tuple(range(10, 16)), texts=self.TEXTS)
+        first = oracle.query_ml_group(query, repeat=0, kind="consistency")
+        second = oracle.query_ml_group(query, repeat=1, kind="consistency")
+        assert sent[0] == list(self.TEXTS)
+        assert sent[1] != sent[0] and sorted(sent[1]) == sorted(self.TEXTS)
+        want = {frozenset({0, 2, 5}), frozenset({1, 4}), frozenset({3})}
+        assert first.canonical() == second.canonical() == want
+        entries = [json.loads(line) for line in path.read_text().splitlines()]
+        assert "order" not in entries[0]
+        assert [self.TEXTS[q] for q in entries[1]["order"]] == sent[1]
+
+    def test_consistent_backend_passes_consistency_repeat(self):
+        sent = []
+        oracle = RemoteOracle(model="m", send=self.by_first_word(sent), backoff=0)
+        query = MLGroupQuery(ids=tuple(range(6)), texts=self.TEXTS)
+        assert consistency_repeat(oracle, query, alpha=4)
+        assert len({tuple(s) for s in sent}) > 1
 
 
 class TestLedger:
