@@ -146,13 +146,15 @@ def _segment_sums(points: np.ndarray, members: np.ndarray, offsets: np.ndarray) 
     A sparse product with the blocks' 0/1 indicator matrix, so the member
     rows are never copied out.
     """
+    if members.size == 0:  # spares building an empty sparse matrix
+        return np.zeros((offsets.size - 1, points.shape[1]))
     indicator = csr_array((np.ones(members.size), members, offsets),
                           shape=(offsets.size - 1, points.shape[0]))
     return indicator @ points
 
 
 def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
-                  seed: int | np.random.Generator) -> tuple[np.ndarray, bool]:
+                  seed: int) -> tuple[np.ndarray, bool]:
     """Weighted D^2 seeding.
 
     The first center is sampled proportionally to weight; each next center
@@ -169,7 +171,7 @@ def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
     weights = np.asarray(weights, dtype=np.float64)
     if weights.sum() < k:
         raise ValueError("total weight must be at least k")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     m = coords.shape[0]
     first = int(rng.choice(m, p=weights / weights.sum()))
     chosen = [first]
@@ -314,6 +316,8 @@ def _soft_groups(points: np.ndarray, soft: Blocks, centers: np.ndarray,
     the part that absorbed the member's own part.
     """
     members, offsets = soft
+    if members.size == 0:  # the baseline, and runs whose ML sets are all hard
+        return np.empty(0, dtype=np.int64), np.empty((0, points.shape[1]))
     set_of = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
     dist = center_dist(points, centers, rows=members)
     key = set_of * centers.shape[0] + dist.argmin(axis=1)
@@ -590,26 +594,7 @@ def lsck(data: EmbeddedDataset, collection: ConstraintCollection,
 
 def kmeans_baseline(data: EmbeddedDataset, k: int, seed: int,
                     convergence: Convergence | None = None) -> ClusteringResult:
-    """Unconstrained k-means++ seeding plus Lloyd iterations."""
-    if not 1 <= k <= data.n:
-        raise ValueError(f"k must be in [1, {data.n}]")
-    conv = convergence if convergence is not None else Convergence()
-    X = data.points
-    tol = conv.resolve_tol(X)
-    centers, degenerate = kmeanspp_seed(X, np.ones(data.n), k, seed)
-    iterations = 0
-    converged = False
-    for _ in range(conv.max_iters):
-        labels = np.argmin(center_dist(X, centers), axis=1)
-        new_centers = _update_centers(X, labels, centers)
-        displacement = float(((new_centers - centers) ** 2).sum(axis=1).max())
-        centers = new_centers
-        iterations += 1
-        if displacement < tol:
-            converged = True
-            break
-    labels = np.argmin(center_dist(X, centers), axis=1)
-    return ClusteringResult(labels=labels, centers=centers,
-                            objective=_objective(X, labels, centers),
-                            iterations=iterations, converged=converged,
-                            degenerate_seeding=degenerate)
+    """Unconstrained k-means++ seeding plus Lloyd iterations: the constrained
+    loop with no constraint sets."""
+    return _run(data, ConstraintCollection(), Penalties(0.0, 0.0), k, seed, convergence,
+                use_hard=True)

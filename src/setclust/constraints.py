@@ -123,8 +123,9 @@ def generate_ml_sets(data: EmbeddedDataset, oracle, grid: GridPartition,
 
     Cells larger than ``m_max`` are chunked; cells (and trailing chunks) of a
     single point are skipped, since a one-text query carries no information.
-    Each resulting set records the grid level that produced it so the
-    threshold search can group candidate diameters by level and arity.
+    Each resulting set records the grid level that produced it; the
+    constraint file keeps it, and the threshold search groups candidate
+    diameters by arity only.
     """
     if m_max < 2:
         raise ValueError("m_max >= 2 required")

@@ -51,24 +51,21 @@ def point_dist(X: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.sqrt(buf.sum(axis=1))
 
 
-def gonzalez_kcenter(data: EmbeddedDataset, k: int, seed: int,
-                     first_index: int | None = None) -> KCenterResult:
+def gonzalez_kcenter(data: EmbeddedDataset, k: int, seed: int) -> KCenterResult:
     """Farthest-first traversal (2-approximation for min-max k-center).
 
-    The first center is drawn uniformly at random under ``seed`` unless
-    ``first_index`` pins it; each subsequent center is the point farthest
-    from the current center set (plain Euclidean distance, ties to the
-    lowest index).
+    The first center is drawn uniformly at random under ``seed``; each
+    subsequent center is the point farthest from the current center set
+    (plain Euclidean distance, ties to the lowest index).
     """
     n = data.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     X = data.points
-    if first_index is None:
-        first_index = int(np.random.default_rng(seed).integers(n))
-    chosen = [first_index]
+    first = int(np.random.default_rng(seed).integers(n))
+    chosen = [first]
     buf = np.empty_like(X)
-    nearest = point_dist(X, X[first_index], buf)
+    nearest = point_dist(X, X[first], buf)
     while len(chosen) < k:
         nxt = int(np.argmax(nearest))
         chosen.append(nxt)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,14 @@ from setclust.dataset import EmbeddedDataset
 from setclust.oracle import QueryLedger, RemoteOracle, SimulatedOracle
 
 ALGORITHMS = ("lsck_hc", "lsck", "kmeanspp")
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x, low: int) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
 
 
 @dataclass
@@ -36,19 +44,23 @@ class ExperimentConfig:
     mix_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        for name, low in (("k", 1), ("max_iters", 0), ("mix_seed", 0)):
+            if not _is_int(getattr(self, name), low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {getattr(self, name)!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
-        if any(not 0.0 <= r <= 1.0 for r in self.ratios):
-            raise ValueError("ratios must lie in [0, 1]")
+        if not (isinstance(self.seeds, (list, tuple)) and self.seeds
+                and all(_is_int(s, 0) for s in self.seeds)):
+            raise ValueError(f"seeds must be a nonempty list of integers >= 0, got {self.seeds!r}")
+        if not (isinstance(self.ratios, (list, tuple)) and self.ratios
+                and all(_is_real(r) and 0.0 <= r <= 1.0 for r in self.ratios)):
+            raise ValueError(f"ratios must be a nonempty list in [0, 1], got {self.ratios!r}")
+        if not (self.tol is None or (_is_real(self.tol) and 0.0 <= self.tol < math.inf)):
+            raise ValueError(f"tol must be null or a finite number >= 0, got {self.tol!r}")
         if self.penalties != "auto":
             pair = self.penalties
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(isinstance(w, (int, float)) and not isinstance(w, bool)
-                            for w in pair)):
+                    and all(_is_real(w) for w in pair)):
                 raise ValueError(f"penalties must be 'auto' or (w_ml, w_cl), got {pair!r}")
             clustering.Penalties(*pair)  # rejects negative and NaN weights
 
@@ -127,10 +139,7 @@ def fsc_equivalent_queries(ml_sets: list[MLSet], cl_sets: list[CLSet],
 def run_algorithm(data: EmbeddedDataset, collection: ConstraintCollection,
                   config: ExperimentConfig, seed: int) -> clustering.ClusteringResult:
     conv = clustering.Convergence(tol=config.tol, max_iters=config.max_iters)
-    if config.penalties == "auto":
-        pen = None
-    else:
-        pen = clustering.Penalties(*config.penalties)
+    pen = None if config.penalties == "auto" else clustering.Penalties(*config.penalties)
     if config.algorithm == "lsck_hc":
         return clustering.lsck_hc(data, collection, pen, config.k, seed, conv)
     if config.algorithm == "lsck":
@@ -161,16 +170,22 @@ def result_to_doc(result: clustering.ClusteringResult, config: ExperimentConfig,
 
 def run_experiment(data: EmbeddedDataset, pool: ConstraintCollection,
                    config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
-    """One result file per (ratio, seed); constraints are mixed per ratio."""
+    """One result file per (ratio, seed); constraints are mixed per ratio.
+    Auto penalties do not depend on the constraints, so each seed resolves
+    them in its first run only; result files still say "auto"."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
+    resolved: dict[int, ExperimentConfig] = {}  # per seed, with its penalties resolved
     for ratio in config.ratios:
         mixed = constraints.mix_constraints(pool.ml_sets, pool.cl_sets, ratio,
                                             data.n, config.mix_seed)
         mixed.meta.update({k: v for k, v in pool.meta.items() if k != "target_ratio"})
         for seed in config.seeds:
-            result = run_algorithm(data, mixed, config, seed)
+            result = run_algorithm(data, mixed, resolved.get(seed, config), seed)
+            if config.penalties == "auto" and seed not in resolved:
+                pen = result.penalties
+                resolved[seed] = replace(config, penalties=(pen.w_ml, pen.w_cl))
             doc = result_to_doc(result, config, ratio, seed)
             doc["mixed_meta"] = mixed.meta
             doc["mixed_ml"] = [list(s.members) for s in mixed.ml_sets]

@@ -215,16 +215,15 @@ class SimulatedOracle:
                                   "groups": [list(g) for g in groups]})
         return MLGroupResponse(groups=groups)
 
-    def query_cl_membership(self, query: CLMembershipQuery, repeat: int = 0,
-                            kind: str = "cl") -> CLMembershipResponse:
+    def query_cl_membership(self, query: CLMembershipQuery) -> CLMembershipResponse:
         matched = None
         context = ("cl", *query.set_ids, query.candidate_id)
         for pos, member in enumerate(query.set_ids):
-            if self._same(member, query.candidate_id, repeat, context):
+            if self._same(member, query.candidate_id, 0, context):
                 matched = pos
                 break
-        self.ledger.record(kind, {"kind": "cl", "set_ids": list(query.set_ids),
-                                  "candidate": query.candidate_id, "repeat": repeat,
+        self.ledger.record("cl", {"kind": "cl", "set_ids": list(query.set_ids),
+                                  "candidate": query.candidate_id, "repeat": 0,
                                   "matched": matched})
         return CLMembershipResponse(matched_index=matched)
 
@@ -305,6 +304,9 @@ def parse_cl_response(content: str, set_size: int) -> CLMembershipResponse:
     raise OracleBackendError(f"unrecognized verdict {content!r}")
 
 
+TEMPERATURE = 0.0  # of every request; ML repeats differ by text order instead
+
+
 class RemoteOracle:
     """Chat-completion backend speaking JSON over HTTPS.
 
@@ -316,10 +318,9 @@ class RemoteOracle:
     and each failed attempt is counted there too.
     """
 
-    def __init__(self, model: str, temperature: float = 0.0, max_attempts: int = 3,
-                 backoff: float = 1.0, ledger: QueryLedger | None = None, send=None):
+    def __init__(self, model: str, max_attempts: int = 3, backoff: float = 1.0,
+                 ledger: QueryLedger | None = None, send=None):
         self.model = model
-        self.temperature = temperature
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.ledger = ledger if ledger is not None else QueryLedger()
@@ -341,7 +342,7 @@ class RemoteOracle:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
+            "temperature": TEMPERATURE,
         }
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
@@ -378,9 +379,8 @@ class RemoteOracle:
                             kind, context)
         return MLGroupResponse(groups=tuple(tuple(order[i] for i in g) for g in listed.groups))
 
-    def query_cl_membership(self, query: CLMembershipQuery, repeat: int = 0,
-                            kind: str = "cl") -> CLMembershipResponse:
+    def query_cl_membership(self, query: CLMembershipQuery) -> CLMembershipResponse:
         members = "\n".join(f"{i}. {t}" for i, t in enumerate(query.set_texts))
         prompt = CL_PROMPT.format(members=members, candidate=query.candidate_text)
-        return self._chat(prompt, lambda c: parse_cl_response(c, len(query.set_ids)), kind,
-                          {"kind": "cl", "candidate": query.candidate_id, "repeat": repeat})
+        return self._chat(prompt, lambda c: parse_cl_response(c, len(query.set_ids)), "cl",
+                          {"kind": "cl", "candidate": query.candidate_id, "repeat": 0})

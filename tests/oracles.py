@@ -372,6 +372,37 @@ def kmeanspp_seed_exact(coords: np.ndarray, weights: np.ndarray, k: int,
     return np.vstack(centers), degenerate
 
 
+def kmeans_baseline_loop(data, k: int, seed: int, convergence=None):
+    """Unconstrained k-means++ seeding plus Lloyd iterations in a loop of its
+    own: the reference for ``kmeans_baseline``, which runs the constrained
+    loop with no constraint sets."""
+    from setclust.clustering import (
+        ClusteringResult, Convergence, _objective, _update_centers, center_dist, kmeanspp_seed)
+
+    if not 1 <= k <= data.n:
+        raise ValueError(f"k must be in [1, {data.n}]")
+    conv = convergence if convergence is not None else Convergence()
+    X = data.points
+    tol = conv.resolve_tol(X)
+    centers, degenerate = kmeanspp_seed(X, np.ones(data.n), k, seed)
+    iterations = 0
+    converged = False
+    for _ in range(conv.max_iters):
+        labels = np.argmin(center_dist(X, centers), axis=1)
+        new_centers = _update_centers(X, labels, centers)
+        displacement = float(((new_centers - centers) ** 2).sum(axis=1).max())
+        centers = new_centers
+        iterations += 1
+        if displacement < tol:
+            converged = True
+            break
+    labels = np.argmin(center_dist(X, centers), axis=1)
+    return ClusteringResult(labels=labels, centers=centers,
+                            objective=_objective(X, labels, centers),
+                            iterations=iterations, converged=converged,
+                            degenerate_seeding=degenerate)
+
+
 def partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarray,
                        w_ml: float) -> list[list[int]]:
     """Split one soft ML set by nearest center, then merge while profitable.

@@ -166,6 +166,22 @@ class TestErrors:
             workspace, tmp_path / "out", "--config", str(config)))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("doc", [{"ratios": "0.2"}, {"ratios": []}, {"seeds": 5},
+                                     {"seeds": [0.5]}, {"max_iters": "5"}, {"tol": -1},
+                                     {"mix_seed": "a"}], ids=json.dumps)
+    def test_bad_config_sweep_rejected_before_output(self, workspace, tmp_path, capsys, doc):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        (key,) = doc
+        self._rejected(capsys, key, lambda: self._cluster(
+            workspace, tmp_path / "out", "--config", str(config)))
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_ratios_rejected_before_output(self, workspace, tmp_path, capsys):
+        self._rejected(capsys, "ratios", lambda: self._cluster(
+            workspace, tmp_path / "out", "--ratios", ""))
+        assert not (tmp_path / "out").exists()
+
     def test_zero_k_rejected_before_output(self, workspace, tmp_path, capsys):
         self._rejected(capsys, "k must be an integer >= 1", lambda: self._cluster(
             workspace, tmp_path / "out", "--k", "0"))

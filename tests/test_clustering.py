@@ -13,6 +13,7 @@ from oracles import (
     ALG2_TRACE_GAINS,
     ALG2_TRACE_RELEASE_WCL,
     cl_local_search_loop,
+    kmeans_baseline_loop,
     kmeanspp_seed_exact,
     partition_soft_set,
     pdist_broadcast,
@@ -455,6 +456,32 @@ class TestKmeansBaseline:
         data = make_dataset(rng.normal(size=(30, 2)))
         res = kmeans_baseline(data, k=2, seed=0)
         assert res.converged
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), dim=st.integers(1, 8),
+       levels=st.integers(0, 5), offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+       max_iters=st.sampled_from([0, 1, 3, 100]), data=st.data())
+def test_baseline_matches_its_own_loop(seed, m, dim, levels, offset, max_iters, data):
+    # rows drawn with replacement from a few distinct ones (on an integer
+    # grid, or floats at levels 0) plus a common offset, so some instances
+    # have fewer distinct points than k and seed degenerately
+    rng = np.random.default_rng(seed)
+    distinct = data.draw(st.integers(1, m), label="distinct")
+    if levels:
+        rows = rng.integers(0, levels, size=(distinct, dim)).astype(np.float64)
+    else:
+        rows = rng.normal(size=(distinct, dim)) * 10
+    points = rows[rng.integers(0, distinct, size=m)] + offset * rng.uniform(0.5, 1.0, size=dim)
+    k = data.draw(st.integers(1, m), label="k")
+    conv = Convergence(max_iters=max_iters)
+    got = kmeans_baseline(make_dataset(points), k, seed, conv)
+    want = kmeans_baseline_loop(make_dataset(points), k, seed, conv)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.centers, want.centers)
+    assert got.objective == want.objective
+    assert (got.iterations, got.converged, got.degenerate_seeding) == (
+        want.iterations, want.converged, want.degenerate_seeding)
 
 
 class TestPenalties:

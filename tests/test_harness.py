@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from setclust import harness
+from setclust import clustering, harness
 from setclust.constraints import (
     CLSet,
     ConstraintCollection,
@@ -50,6 +50,23 @@ class TestExperimentConfig:
     def test_empty_seeds(self):
         with pytest.raises(ValueError):
             ExperimentConfig(k=3, seeds=[])
+
+    @pytest.mark.parametrize("name,value", [
+        *[("ratios", v) for v in ([], "0.2", ["0.2"], [True], [float("nan")], 0.2, None)],
+        *[("seeds", v) for v in (5, "0", [0.5], ["1"], [True], [-1], None)],
+        *[("max_iters", v) for v in ("5", 2.0, True, -1, None)],
+        *[("tol", v) for v in ("0.1", -1, -1e-9, float("nan"), float("inf"), True)],
+        *[("mix_seed", v) for v in ("a", 1.5, True, -1, None)],
+    ])
+    def test_bad_sweep_setting(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(k=3, **{name: value})
+
+    def test_good_sweep_settings(self):
+        config = ExperimentConfig(k=3, ratios=(0, 0.5, 1), seeds=[0, 7], tol=0,
+                                  max_iters=0, mix_seed=3)
+        assert (config.tol, config.max_iters) == (0, 0)
+        assert ExperimentConfig(k=3, tol=1e-3).tol == 1e-3
 
     @pytest.mark.parametrize("penalties", ["bogus", "", (1.0,), (1.0, 2.0, 3.0), 1.0,
                                            (-1.0, 2.0), (1.0, float("nan")), ("1", "2"),
@@ -218,6 +235,34 @@ class TestRunAndEvaluate:
         harness.run_experiment(blob_data, pool, config, again)
         for path in again.glob("result_*.json"):
             assert path.read_bytes() == (run_dir / path.name).read_bytes()
+
+
+class TestAutoPenaltiesPerSeed:
+    def test_baseline_runs_once_per_seed(self, blob_data, tmp_path, monkeypatch):
+        oracle = harness.make_oracle(sim_config(), blob_data)
+        pool = harness.generate_constraints(blob_data, oracle, k=3, seed=0)
+        ratios, seeds = [0.0, 0.5, 1.0], [0, 1]
+        for ratio in ratios:
+            for seed in seeds:
+                harness.run_experiment(blob_data, pool,
+                                       sim_config(ratios=[ratio], seeds=[seed]),
+                                       tmp_path / "one_at_a_time")
+        calls = []
+        real = clustering.kmeans_baseline
+
+        def counting(data, k, seed, convergence=None):
+            calls.append(seed)
+            return real(data, k, seed, convergence)
+
+        monkeypatch.setattr(clustering, "kmeans_baseline", counting)
+        written = harness.run_experiment(blob_data, pool,
+                                         sim_config(ratios=ratios, seeds=seeds),
+                                         tmp_path / "sweep")
+        assert calls == seeds
+        assert len(written) == 6
+        for path in written:
+            assert path.read_bytes() == (tmp_path / "one_at_a_time" / path.name).read_bytes()
+            assert json.loads(path.read_text())["config"]["penalties"] == "auto"
 
 
 class TestBaselineAlgorithm:
