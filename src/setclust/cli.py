@@ -161,13 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; bad input (a ``ValueError``) exits with status 2 and
-    a usage line, as argparse's own errors do."""
+    """Run one command; bad input (a ``ValueError``, or an ``OSError`` such
+    as a missing input file) exits with status 2 and a usage line, as
+    argparse's own errors do."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
 

@@ -65,26 +65,79 @@ class ConstraintCollection:
     shortfall: bool = False
 
 
-# float64 elements in one block of set_diameter's differences (512 KB)
+# float64 elements in one block of set_diameter's differences or Gram products
+# (512 KB)
 DIAMETER_BLOCK = 1 << 16
+# sets of at least this many points take set_diameter's Gram form; below it
+# the fixed cost of shifting and re-checking outweighs the saved arithmetic
+# (on a 2-vCPU x86-64 host the two took the same time at about 20 points,
+# dim 16 and 64)
+DIAMETER_GRAM_MIN = 20
+
+
+def _gram_margin(norms: np.ndarray, d: int) -> float:
+    """Rounding margin of squared distances read as ``|x|^2 - 2 x.y + |y|^2``
+    on mean-shifted rows of width ``d`` whose squared norms are ``norms``.
+
+    Each d-term sum rounds by at most about d ulps of the sum of its terms'
+    magnitudes, which the largest squared norm bounds; so do the sum and
+    square root of the exact form ``sqrt(sum((x - y) ** 2))``. The margin is
+    twice that first-order bound, so when one pair's exact distance is at
+    most another's, its reading is at most the other's plus the margin.
+    """
+    return 32.0 * (d + 4) * np.finfo(np.float64).eps * float(norms.max())
+
+
+def _shifted(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rows shifted by their mean, their squared norms and their
+    ``_gram_margin``; the shift keeps a large common offset from cancelling
+    the distances away."""
+    shifted = sub - sub.mean(axis=0)
+    norms = np.einsum("ij,ij->i", shifted, shifted)
+    return shifted, norms, _gram_margin(norms, sub.shape[1])
 
 
 def set_diameter(points: np.ndarray, members: tuple[int, ...]) -> float:
     """Largest pairwise distance among ``members``.
 
-    Exact differences of a block of rows against every row, so the
-    temporaries hold about ``DIAMETER_BLOCK`` elements (one row's m×d when
-    that is larger) whatever the set size, and every pair keeps the
-    operations of the unblocked m×m×d form, so the result has the same bits.
+    The result has the bits of the unblocked m×m×d form: the largest
+    ``sqrt(sum((a - b) ** 2))`` over pairs. A set of fewer than
+    ``DIAMETER_GRAM_MIN`` points takes exact differences of a block of rows
+    against every row. A larger set reads squared distances off Gram
+    products of a block of rows with the rows after it, on mean-shifted
+    coordinates, and recomputes by exact differences every pair that reads
+    within ``_gram_margin`` of the largest value read so far; the farthest
+    pair is always among them. Either way the temporaries hold about
+    ``DIAMETER_BLOCK`` elements (one row's worth when that is larger),
+    whatever the set size.
     """
     sub = points[list(members)]
     m, d = sub.shape
-    step = max(1, DIAMETER_BLOCK // (m * d))
     best = 0.0
+    if m < DIAMETER_GRAM_MIN:
+        step = max(1, DIAMETER_BLOCK // (m * d))
+        for lo in range(0, m, step):
+            diffs = sub[lo:lo + step, None, :] - sub[None, :, :]
+            np.square(diffs, out=diffs)
+            best = max(best, float(np.sqrt(diffs.sum(axis=2)).max()))
+        return best
+    shifted, norms, margin = _shifted(sub)
+    step = max(1, DIAMETER_BLOCK // m)
+    pair_step = max(1, DIAMETER_BLOCK // d)
+    top = -np.inf  # largest squared distance read so far
     for lo in range(0, m, step):
-        diffs = sub[lo:lo + step, None, :] - sub[None, :, :]
-        np.square(diffs, out=diffs)
-        best = max(best, float(np.sqrt(diffs.sum(axis=2)).max()))
+        block = np.matmul(shifted[lo:lo + step], shifted[lo:].T)
+        block *= -2.0
+        block += norms[lo:lo + step, None]
+        block += norms[lo:]
+        top = max(top, float(block.max()))
+        rows, cols = np.nonzero(block >= top - margin)
+        rows += lo
+        cols += lo
+        for at in range(0, rows.size, pair_step):
+            diffs = sub[rows[at:at + pair_step]] - sub[cols[at:at + pair_step]]
+            np.square(diffs, out=diffs)
+            best = max(best, float(np.sqrt(diffs.sum(axis=1)).max()))
     return best
 
 
@@ -99,20 +152,33 @@ def _locality_order(points: np.ndarray, cell: list[int]) -> list[int]:
     Starts from the lowest index and always appends the unvisited member
     closest to the last one (ties to the lowest index), keeping mutually
     close points inside the same chunk when a large cell is split.
+
+    Each step reads ``|x|^2 - 2 x.c`` (the squared distance to the last
+    point ``c`` less ``|c|^2``) off one matrix-vector product on mean-shifted
+    coordinates, with visited rows at +inf. Only rows within
+    ``_gram_margin`` of the smallest reading can be the exact nearest; when
+    there are several, ``point_dist`` re-decides among them, so the chain is
+    the one exact differences give.
     """
     ids = sorted(cell)
     if len(ids) <= 2:
         return ids
     sub = points[ids]
-    buf = np.empty_like(sub)
-    visited = np.zeros(len(ids), dtype=bool)
+    shifted, norms, margin = _shifted(sub)
+    reading = np.empty(len(ids))
     last = 0
     order = [0]
     for _ in range(len(ids) - 1):
-        visited[last] = True
-        dists = point_dist(sub, sub[last], buf)
-        dists[visited] = np.inf
-        last = int(np.argmin(dists))
+        norms[last] = np.inf
+        np.matmul(shifted, -2.0 * shifted[last], out=reading)
+        reading += norms
+        nearest = int(reading.argmin())
+        bound = reading[nearest] + margin
+        if np.count_nonzero(reading <= bound) > 1:
+            near = np.flatnonzero(reading <= bound)
+            rows = sub[near]
+            nearest = int(near[np.argmin(point_dist(rows, sub[last], rows))])
+        last = nearest
         order.append(last)
     return [ids[pos] for pos in order]
 
@@ -157,16 +223,19 @@ def _cut_segments(points: np.ndarray, order: list[int], tau: float):
     """Cut a locality-ordered chain into segments at distance jumps > tau.
 
     The cut keeps each segment spatially tight, so a segment is very
-    unlikely to straddle two well-separated groups.
+    unlikely to straddle two well-separated groups. The jumps are row-wise
+    norms of consecutive differences; one may differ from the 1-D
+    ``np.linalg.norm`` in the last bit, so jumps within 1e-9 (relative) of
+    tau are decided by the 1-D norm, as in ``grid_partition``.
     """
-    segments: list[list[int]] = []
-    for idx in order:
-        if (not segments
-                or np.linalg.norm(points[idx] - points[segments[-1][-1]]) > tau):
-            segments.append([idx])
-        else:
-            segments[-1].append(idx)
-    return segments
+    gaps = np.diff(points[order], axis=0)
+    np.square(gaps, out=gaps)
+    gaps = np.sqrt(gaps.sum(axis=1))
+    cuts = gaps > tau
+    for pos in np.flatnonzero(np.abs(gaps - tau) <= 1e-9 * tau).tolist():
+        cuts[pos] = np.linalg.norm(points[order[pos + 1]] - points[order[pos]]) > tau
+    bounds = [0, *(np.flatnonzero(cuts) + 1).tolist(), len(order)]
+    return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],

@@ -58,6 +58,19 @@ def locality_order_pop(points: np.ndarray, cell: list[int]) -> list[int]:
     return order
 
 
+def cut_segments_loop(points: np.ndarray, order: list[int], tau: float) -> list[list[int]]:
+    """Chain cut one point at a time: a point starts a new segment when its
+    1-D ``np.linalg.norm`` distance to the previous point exceeds tau."""
+    segments: list[list[int]] = []
+    for idx in order:
+        if (not segments
+                or np.linalg.norm(points[idx] - points[segments[-1][-1]]) > tau):
+            segments.append([idx])
+        else:
+            segments[-1].append(idx)
+    return segments
+
+
 def kcenter_brute_force(points: np.ndarray, k: int) -> float:
     """Optimal min-max k-center cost by enumerating every k-subset."""
     n = len(points)

@@ -196,6 +196,21 @@ class TestErrors:
         assert transcript.read_text() == ""
         assert not (tmp_path / "cons.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--config", "--constraints"])
+    def test_missing_input_file_rejected_before_output(self, workspace, tmp_path, capsys, flag):
+        # a repeated flag overrides the helper's --constraints
+        nowhere = str(tmp_path / "nope.json")
+        self._rejected(capsys, nowhere, lambda: self._cluster(
+            workspace, tmp_path / "out", flag, nowhere))
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_corpus_rejected_before_output(self, workspace, tmp_path, capsys):
+        nowhere = str(tmp_path / "missing.jsonl")
+        self._rejected(capsys, nowhere, lambda: main([
+            "gen-constraints", "--corpus", nowhere, "--embeddings", str(workspace / "emb.bin"),
+            "--k", "3", "--out", str(tmp_path / "cons.json")]))
+        assert not (tmp_path / "cons.json").exists()
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from oracles import (
+    cut_segments_loop,
     dedup_ml_sets_loop,
     generate_cl_sets_loop,
     locality_order_pop,
@@ -46,21 +47,43 @@ class TestMLSetValidation:
             CLSet(members=(1, 1))
 
 
+LAYOUTS = ("normal", "grid", "duplicates", "near-duplicates")
+
+
+def layout_points(rng, n: int, d: int, layout: str, offset: float) -> np.ndarray:
+    """n points in d dimensions plus a common offset: normal at a random
+    scale, on an integer grid (distance ties), a few normal rows each
+    repeated (coincident points), or integer rows repeated and then moved
+    by about 1e-13 of themselves (distances that differ in the last bits)."""
+    if layout == "normal":
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+    elif layout == "grid":
+        points = np.round(rng.normal(size=(n, d)) * 2)
+    elif layout == "duplicates":
+        points = rng.normal(size=(n, d))[rng.integers(0, max(1, n // 3), size=n)]
+    else:
+        points = np.round(rng.normal(size=(n, d)))[rng.integers(0, n, size=n)]
+        points *= 1.0 + 1e-13 * rng.normal(size=(n, d))
+    return points + offset
+
+
 class TestSetDiameter:
     @pytest.mark.parametrize("block", [constraints.DIAMETER_BLOCK, 1])
     def test_bit_equal_to_broadcast(self, monkeypatch, block):
         # block 1 takes one row per block on every set
         monkeypatch.setattr(constraints, "DIAMETER_BLOCK", block)
         rng = np.random.default_rng(block)
-        for trial in range(200):
-            n, d = int(rng.integers(2, 80)), int(rng.integers(1, 70))
-            points = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
-            if trial % 4 == 0:
-                points = np.round(points)
+        gram_sets = 0
+        for trial in range(240):
+            n, d = int(rng.integers(2, 120)), int(rng.integers(1, 70))
+            points = layout_points(rng, n, d, LAYOUTS[trial % 4],
+                                   [0.0, 1e3, 1e6][trial % 3])
             members = tuple(rng.permutation(n)[:int(rng.integers(2, n + 1))].tolist())
+            gram_sets += len(members) >= constraints.DIAMETER_GRAM_MIN
             sub = points[list(members)]
             want = float(np.sqrt(pdist_broadcast(sub, sub)).max())
             assert set_diameter(points, members) == want
+        assert gram_sets >= 100  # the Gram form is well covered
 
     def test_set_larger_than_a_block(self):
         rng = np.random.default_rng(5)
@@ -80,6 +103,36 @@ class TestLocalityOrder:
             points = np.round(rng.normal(size=(n + 5, d)) * 2)
             cell = rng.permutation(n + 5)[:n].tolist()
             assert constraints._locality_order(points, cell) == locality_order_pop(points, cell)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.integers(1, 64),
+           layout=st.sampled_from(LAYOUTS), offset=st.sampled_from([0.0, 1e3, 1e6]))
+    def test_same_chain_as_popping_reference_at_scale(self, seed, n, d, layout, offset):
+        rng = np.random.default_rng(seed)
+        points = layout_points(rng, n + 5, d, layout, offset)
+        cell = rng.permutation(n + 5)[:n].tolist()
+        assert constraints._locality_order(points, cell) == locality_order_pop(points, cell)
+
+
+class TestCutSegments:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), d=st.integers(1, 64),
+           layout=st.sampled_from(LAYOUTS), offset=st.sampled_from([0.0, 1e3, 1e6]),
+           tau=st.sampled_from(["gap", "quantile", "zero", "inf"]))
+    def test_same_cuts_as_loop(self, seed, n, d, layout, offset, tau):
+        rng = np.random.default_rng(seed)
+        points = layout_points(rng, n, d, layout, offset)
+        order = rng.permutation(n).tolist()
+        gaps = [float(np.linalg.norm(points[b] - points[a])) for a, b in zip(order, order[1:])]
+        if tau == "gap" and gaps:
+            # some gaps are exactly tau; a row-wise norm may read them a bit above
+            tau = gaps[int(rng.integers(len(gaps)))]
+        elif tau == "quantile" and gaps:
+            tau = float(np.quantile(gaps, rng.uniform()))
+        else:
+            tau = float("inf") if tau == "inf" else 0.0
+        want = cut_segments_loop(points, order, tau)
+        assert constraints._cut_segments(points, order, tau) == want
 
 
 class TestGenerateMLSets:
