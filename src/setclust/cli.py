@@ -52,9 +52,19 @@ def cmd_gen_constraints(args) -> int:
     return 0
 
 
+# keys a ``--config`` run file may set; each overrides the flag of its name
+CONFIG_KEYS = ("k", "algorithm", "ratios", "seeds", "penalties", "tol", "max_iters", "mix_seed")
+
+
 def _config_from_args(args) -> harness.ExperimentConfig:
     if args.config:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"--config must hold a JSON object, got {type(doc).__name__}")
+        unknown = sorted(set(doc) - set(CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown --config keys: {', '.join(unknown)} "
+                             f"(known: {', '.join(CONFIG_KEYS)})")
     else:
         doc = {}
     penalties = doc.get("penalties", args.penalties)

@@ -83,10 +83,12 @@ class ClusteringResult:
     penalties: Penalties | None = None
     # release-gain values observed during CL local search, for auditing
     min_gain_seen: float = field(default=np.inf)
+    # rows the nearest-center kernel re-decided by exact differences, for auditing
+    redecided: int = 0
 
 
-# entries in the block of shifted points the distance kernel holds at once
-# (256 KB): its temporaries stay small and cache-resident for any input size
+# entries in the block of rows a distance kernel holds at once (256 KB): its
+# temporaries stay small and cache-resident for any input size
 _KERNEL_BLOCK = 1 << 15
 
 
@@ -117,6 +119,97 @@ def center_dist(points: np.ndarray, centers: np.ndarray,
         del p  # before the next block is gathered, so only one is held
     d2 += np.einsum("ij,ij->i", c, c)
     return np.maximum(d2, 0.0, out=d2)
+
+
+@dataclass
+class PointFrame:
+    """A run's points with their mean and each point's squared distance to
+    it, taken once by ``point_frame`` for every distance read in the run.
+
+    A squared distance ``|x - c|^2`` is read as ``|x - m|^2 - 2 (x.s - m.s)
+    + |s|^2`` with ``s = c - m`` (``m`` the mean): one product of the
+    unshifted points with shifted centers. That product rounds with the
+    points' own magnitudes, so ``margin`` grows with ``|m| |s|`` as well as
+    with the squared norms.
+    """
+
+    points: np.ndarray
+    mean: np.ndarray
+    norms: np.ndarray
+    # rows ``nearest_center`` re-decided by exact differences
+    redecided: int = 0
+
+    def __post_init__(self):
+        self._ulps = 32.0 * (self.points.shape[1] + 4) * np.finfo(np.float64).eps
+        self._reach = float(np.sqrt(self.norms.max(initial=0.0)))
+        self._offset = float(np.sqrt(self.mean @ self.mean))
+
+    def margin(self, shift_norm: float) -> float:
+        """Rounding margin of readings against centers at most
+        ``shift_norm`` from the mean.
+
+        To first order, a reading and the exact form ``sum((x - c) ** 2)``
+        differ by at most ``4 (d + 4) eps ((r + t)^2 + |m| t)``, with ``r``
+        the largest ``|x - m|`` and ``t = shift_norm``: the product rounds
+        with ``|x| |s| <= (r + |m|) t``. The margin, ``32 (d + 4) eps ((r +
+        t)^2 + |m| t)``, is four times what two readings can err together, so
+        when one center is exactly at most as far as another its reading is
+        at most the other's plus the margin, and a coincident point reads at
+        most the margin.
+        """
+        return self._ulps * ((self._reach + shift_norm) ** 2 + self._offset * shift_norm)
+
+
+def point_frame(points: np.ndarray) -> PointFrame:
+    """The points' mean and squared distances to it, over row blocks, so no
+    shifted copy of the points is made."""
+    mean = points.mean(axis=0)
+    norms = np.empty(points.shape[0])
+    step = max(1, _KERNEL_BLOCK // max(points.shape[1], 1))
+    for lo in range(0, points.shape[0], step):
+        p = points[lo:lo + step] - mean
+        norms[lo:lo + step] = np.einsum("ij,ij->i", p, p)
+    return PointFrame(points, mean, norms)
+
+
+def _exact_nearest(points: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Nearest center of each of ``points[rows]`` by exact differences
+    ``sum((x - c) ** 2)``, ties to the lowest index, over row blocks."""
+    nearest = np.empty(rows.size, dtype=np.int64)
+    step = max(1, _KERNEL_BLOCK // centers.size)
+    for lo in range(0, rows.size, step):
+        diff = points[rows[lo:lo + step], None, :] - centers
+        np.square(diff, out=diff)
+        nearest[lo:lo + step] = diff.sum(axis=2).argmin(axis=1)
+    return nearest
+
+
+def nearest_center(frame: PointFrame, centers: np.ndarray) -> np.ndarray:
+    """Index of the center nearest each of the frame's points, ties to the
+    lowest index: the argmin of exact differences ``sum((x - c) ** 2)``.
+
+    Each point reads ``|s|^2 - 2 (x.s - m.s)`` per center (its squared
+    distance less ``|x - m|^2``) off one product of ``-2 s`` with the
+    unshifted points, one row per center. A point with more than one reading
+    within the frame's margin of its smallest is re-decided by exact
+    differences and counted in ``frame.redecided``; any other point's one
+    such center is its exact nearest.
+    """
+    shifted = centers - frame.mean
+    shift_norms = np.einsum("ij,ij->i", shifted, shifted)
+    reading = (-2.0 * shifted) @ frame.points.T
+    reading += (shift_norms + 2.0 * (shifted @ frame.mean))[:, None]
+    bound = reading.min(axis=0)
+    bound += frame.margin(float(np.sqrt(shift_norms.max())))
+    # 1.0 where a center reads within the margin; a point with one such
+    # center gets its index as the sum of indices over them
+    within = np.less_equal(reading, bound, out=reading)
+    labels = (np.arange(centers.shape[0], dtype=np.float64) @ within).astype(np.int64)
+    near = np.flatnonzero(within.sum(axis=0) > 1)
+    if near.size:
+        frame.redecided += near.size
+        labels[near] = _exact_nearest(frame.points, near, centers)
+    return labels
 
 
 # index blocks as flat arrays: block i is members[offsets[i]:offsets[i + 1]]
@@ -153,45 +246,76 @@ def _segment_sums(points: np.ndarray, members: np.ndarray, offsets: np.ndarray) 
     return indicator @ points
 
 
-def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
+@dataclass
+class SeedPool:
+    """The rows k-means++ draws from, in draw order: ``heads`` (the hard
+    blocks' mass centers), then the frame's points at ``free`` (all of them
+    when None)."""
+
+    frame: PointFrame
+    heads: np.ndarray | None = None
+    free: np.ndarray | None = None
+
+
+def kmeanspp_seed(coords: np.ndarray | SeedPool, weights: np.ndarray, k: int,
                   seed: int) -> tuple[np.ndarray, bool]:
-    """Weighted D^2 seeding.
+    """Weighted D^2 seeding over the rows of ``coords``, an array or a
+    ``SeedPool``.
 
     The first center is sampled proportionally to weight; each next center
     proportionally to weight times squared distance to the nearest chosen
     center. When fewer distinct points than k exist, sampling falls back to
     weight-proportional duplicates and the result is flagged degenerate.
 
-    A center's squared distances come from one matrix-vector product,
-    ``|x|^2 - 2 x.c + |c|^2``, on coordinates shifted by their mean. Rows
-    where that reads at most ``1e-12 (|x|^2 + |c|^2)`` are recomputed by
-    exact differences, so a coincident point reads exactly 0.
+    A center's squared distances to the frame's points come from one
+    matrix-vector product with the unshifted points, read as in
+    ``PointFrame``; rows that read within the frame's margin of 0 are
+    recomputed by exact differences, so a coincident point reads exactly 0.
+    Distances to the heads are exact differences.
     """
-    coords = np.asarray(coords, dtype=np.float64)
+    pool = coords if isinstance(coords, SeedPool) else SeedPool(
+        point_frame(np.asarray(coords, dtype=np.float64)))
+    frame, free = pool.frame, pool.free
+    X = frame.points
+    heads = pool.heads if pool.heads is not None else X[:0]
     weights = np.asarray(weights, dtype=np.float64)
     if weights.sum() < k:
         raise ValueError("total weight must be at least k")
     rng = np.random.default_rng(seed)
-    m = coords.shape[0]
+    m = weights.size
+    h = heads.shape[0]
+
+    def row(idx: int) -> np.ndarray:
+        if idx < h:
+            return heads[idx]
+        return X[idx - h if free is None else free[idx - h]]
+
+    reading = np.empty(X.shape[0])
+
+    def sq_dist(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        shifted = c - frame.mean
+        np.matmul(X, -2.0 * shifted, out=reading)
+        np.add(reading, 2.0 * (frame.mean @ shifted) + shifted @ shifted, out=reading)
+        np.add(reading, frame.norms, out=reading)
+        np.maximum(reading, 0.0, out=reading)
+        near = np.flatnonzero(reading <= frame.margin(float(np.sqrt(shifted @ shifted))))
+        diff = X[near] - c
+        np.square(diff, out=diff)
+        reading[near] = diff.sum(axis=1)
+        if free is None:
+            out[h:] = reading
+        else:
+            np.take(reading, free, out=out[h:])
+        if h:
+            diff = heads - c
+            np.square(diff, out=diff)
+            out[:h] = diff.sum(axis=1)
+        return out
+
     first = int(rng.choice(m, p=weights / weights.sum()))
     chosen = [first]
     degenerate = False
-    shifted = coords - coords.mean(axis=0)
-    norms = np.einsum("ij,ij->i", shifted, shifted)
-
-    def sq_dist(idx: int, out: np.ndarray) -> np.ndarray:
-        np.matmul(shifted, shifted[idx], out=out)
-        out *= -2.0
-        out += norms
-        out += norms[idx]
-        np.maximum(out, 0.0, out=out)
-        near = np.flatnonzero(out <= 1e-12 * (norms + norms[idx]))
-        diff = coords[near] - coords[idx]
-        np.square(diff, out=diff)
-        out[near] = diff.sum(axis=1)
-        return out
-
-    d2 = sq_dist(first, np.empty(m))
+    d2 = sq_dist(row(first), np.empty(m))
     buf = np.empty(m)
     while len(chosen) < k:
         mass = weights * d2
@@ -202,8 +326,8 @@ def kmeanspp_seed(coords: np.ndarray, weights: np.ndarray, k: int,
         else:
             idx = int(rng.choice(m, p=mass / total))
         chosen.append(idx)
-        np.minimum(d2, sq_dist(idx, buf), out=d2)
-    return coords[chosen], degenerate
+        np.minimum(d2, sq_dist(row(idx), buf), out=d2)
+    return np.array([row(idx) for idx in chosen]), degenerate
 
 
 def _merge_hard_sets(ml_sets: list[MLSet]) -> Blocks:
@@ -362,13 +486,15 @@ def build_groups(points: np.ndarray, hard: Blocks, soft: Blocks, centers: np.nda
 @dataclass
 class Start:
     """Seeded centers and their grouping, where the constrained loop starts,
-    plus the ML blocks every later grouping reuses."""
+    plus the ML blocks every later grouping reuses and the points' frame
+    every assignment reads."""
 
     hard: Blocks
     soft: Blocks
     centers: np.ndarray
     degenerate: bool
     groups: Groups
+    frame: PointFrame
 
 
 def seed_and_group(data: EmbeddedDataset, ml_sets: list[MLSet], penalties: Penalties,
@@ -377,25 +503,27 @@ def seed_and_group(data: EmbeddedDataset, ml_sets: list[MLSet], penalties: Penal
     against them: the start of ``lsck_hc`` and ``lsck``."""
     hard = _merge_hard_sets(ml_sets)
     soft = _soft_members(ml_sets, set(hard[0].tolist()))
-    centers, degenerate = _seed(data.points, hard, k, seed)
+    frame = point_frame(data.points)
+    centers, degenerate = _seed(frame, hard, k, seed)
     groups = build_groups(data.points, hard, soft, centers, penalties.w_ml)
-    return Start(hard=hard, soft=soft, centers=centers, degenerate=degenerate, groups=groups)
+    return Start(hard=hard, soft=soft, centers=centers, degenerate=degenerate, groups=groups,
+                 frame=frame)
 
 
-def _seed(X: np.ndarray, hard: Blocks, k: int, seed: int) -> tuple[np.ndarray, bool]:
+def _seed(frame: PointFrame, hard: Blocks, k: int, seed: int) -> tuple[np.ndarray, bool]:
     """k-means++ over each hard block's mass center, weighted by its size,
-    and every point outside the hard blocks."""
+    and every point outside the hard blocks; the free points are read in
+    place, not copied out."""
+    X = frame.points
     members, offsets = hard
     if members.size == 0:
-        return kmeanspp_seed(X, np.ones(X.shape[0]), k, seed)
+        return kmeanspp_seed(SeedPool(frame), np.ones(X.shape[0]), k, seed)
     sizes = np.diff(offsets)
+    heads = _segment_sums(X, members, offsets) / sizes[:, None]
     free = np.ones(X.shape[0], dtype=bool)
     free[members] = False
-    coords = np.empty((sizes.size + X.shape[0] - members.size, X.shape[1]))
-    coords[:sizes.size] = _segment_sums(X, members, offsets) / sizes[:, None]
-    np.compress(free, X, axis=0, out=coords[sizes.size:])
     weights = np.concatenate([sizes, np.ones(X.shape[0] - members.size, dtype=np.int64)])
-    return kmeanspp_seed(coords, weights, k, seed)
+    return kmeanspp_seed(SeedPool(frame, heads, np.flatnonzero(free)), weights, k, seed)
 
 
 _GAIN_TOL = 1e-6
@@ -458,7 +586,7 @@ def cl_local_search(elements: tuple[np.ndarray, np.ndarray], cl_element_sets: li
     return assignment
 
 
-def _assign(X: np.ndarray, groups: Groups, cl_sets, centers: np.ndarray, pen: Penalties,
+def _assign(frame: PointFrame, groups: Groups, cl_sets, centers: np.ndarray, pen: Penalties,
             gain_trace: list[float] | None = None) -> np.ndarray:
     """Labels of one constrained assignment round against fixed centers.
 
@@ -469,12 +597,13 @@ def _assign(X: np.ndarray, groups: Groups, cl_sets, centers: np.ndarray, pen: Pe
     count as one element, and a CL set left with fewer than two elements is
     ignored for the round.
     """
+    X = frame.points
     n_groups = groups.offsets.size - 1
     # the element of each point: its group, or n_groups + i for a free point i
     point_elem = np.arange(n_groups, n_groups + X.shape[0])
     point_elem[groups.members] = np.repeat(np.arange(n_groups), groups.weights)
     elem_center = np.concatenate([center_dist(groups.centroids, centers).argmin(axis=1),
-                                  center_dist(X, centers).argmin(axis=1)])
+                                  nearest_center(frame, centers)])
     # CL sets over the elements they touch, which get rows 0, 1, ... in order
     row: dict[int, int] = {}
     cl_element_sets = []
@@ -554,7 +683,7 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
     iterations = 0
     converged = False
     for _ in range(conv.max_iters):
-        labels = _assign(X, groups, collection.cl_sets, centers, pen, gain_trace)
+        labels = _assign(start.frame, groups, collection.cl_sets, centers, pen, gain_trace)
         new_centers = _update_centers(X, labels, centers)
         displacement = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
@@ -565,7 +694,7 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
             break
     # final assignment against the final centers, so the reported labels and
     # centers are mutually consistent
-    labels = _assign(X, groups, collection.cl_sets, centers, pen, gain_trace)
+    labels = _assign(start.frame, groups, collection.cl_sets, centers, pen, gain_trace)
     return ClusteringResult(
         labels=labels,
         centers=centers,
@@ -575,6 +704,7 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
         degenerate_seeding=start.degenerate,
         penalties=pen,
         min_gain_seen=float(min(gain_trace)) if gain_trace else np.inf,
+        redecided=start.frame.redecided,
     )
 
 

@@ -385,12 +385,43 @@ def kmeanspp_seed_exact(coords: np.ndarray, weights: np.ndarray, k: int,
     return np.vstack(centers), degenerate
 
 
+def nearest_exact(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Nearest center of each point by broadcast exact differences
+    ``sum((x - c) ** 2)``, ties to the lowest index."""
+    return pdist_broadcast(points, centers).argmin(axis=1)
+
+
+def nearest_by_center_dist(frame, centers: np.ndarray) -> np.ndarray:
+    """The assignment rule ``nearest_center`` replaced: the argmin of
+    ``center_dist`` over all points, which shifts every block of points by
+    the centers' mean on every call. A drop-in for ``nearest_center``."""
+    from setclust.clustering import center_dist
+
+    return center_dist(frame.points, centers).argmin(axis=1)
+
+
+def seed_compact_exact(frame, hard, k: int, seed: int) -> tuple[np.ndarray, bool]:
+    """k-means++ over the hard blocks' mass centers (member sums in member
+    order over the size) and the points outside them, copied into one array
+    and seeded with exact per-center differences: the reference for
+    ``clustering._seed``. A drop-in for it."""
+    members, offsets = hard
+    X = frame.points
+    free = np.setdiff1d(np.arange(X.shape[0]), members)
+    heads = [sum(X[members[lo:hi]], np.zeros(X.shape[1])) / (hi - lo)
+             for lo, hi in zip(offsets[:-1], offsets[1:])]
+    coords = np.vstack(heads + [X[free]]) if heads else X
+    weights = np.concatenate([np.diff(offsets), np.ones(free.size)])
+    return kmeanspp_seed_exact(coords, weights, k, seed)
+
+
 def kmeans_baseline_loop(data, k: int, seed: int, convergence=None):
     """Unconstrained k-means++ seeding plus Lloyd iterations in a loop of its
     own: the reference for ``kmeans_baseline``, which runs the constrained
     loop with no constraint sets."""
     from setclust.clustering import (
-        ClusteringResult, Convergence, _objective, _update_centers, center_dist, kmeanspp_seed)
+        ClusteringResult, Convergence, _objective, _update_centers, kmeanspp_seed, nearest_center,
+        point_frame)
 
     if not 1 <= k <= data.n:
         raise ValueError(f"k must be in [1, {data.n}]")
@@ -398,10 +429,11 @@ def kmeans_baseline_loop(data, k: int, seed: int, convergence=None):
     X = data.points
     tol = conv.resolve_tol(X)
     centers, degenerate = kmeanspp_seed(X, np.ones(data.n), k, seed)
+    frame = point_frame(X)
     iterations = 0
     converged = False
     for _ in range(conv.max_iters):
-        labels = np.argmin(center_dist(X, centers), axis=1)
+        labels = nearest_center(frame, centers)
         new_centers = _update_centers(X, labels, centers)
         displacement = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
@@ -409,7 +441,7 @@ def kmeans_baseline_loop(data, k: int, seed: int, convergence=None):
         if displacement < tol:
             converged = True
             break
-    labels = np.argmin(center_dist(X, centers), axis=1)
+    labels = nearest_center(frame, centers)
     return ClusteringResult(labels=labels, centers=centers,
                             objective=_objective(X, labels, centers),
                             iterations=iterations, converged=converged,

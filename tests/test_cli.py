@@ -177,6 +177,29 @@ class TestErrors:
             workspace, tmp_path / "out", "--config", str(config)))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("doc", [[1, 2], "k", 3, None], ids=json.dumps)
+    def test_non_object_config_rejected_before_output(self, workspace, tmp_path, capsys, doc):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        self._rejected(capsys, "--config must hold a JSON object", lambda: self._cluster(
+            workspace, tmp_path / "out", "--config", str(config)))
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_config_keys_rejected_before_output(self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"k": 3, "bogus": 1, "max_iter": 5}))
+        self._rejected(capsys, "unknown --config keys: bogus, max_iter", lambda: self._cluster(
+            workspace, tmp_path / "out", "--config", str(config)))
+        assert not (tmp_path / "out").exists()
+
+    def test_every_config_key_accepted(self, workspace, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "k": 3, "algorithm": "lsck", "ratios": [0.5], "seeds": [1], "penalties": [1.0, 2.0],
+            "tol": 1e-3, "max_iters": 5, "mix_seed": 2}))
+        assert self._cluster(workspace, tmp_path / "out", "--config", str(config)) == 0
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["result_lsck_r0.50_s1.json"]
+
     def test_empty_ratios_rejected_before_output(self, workspace, tmp_path, capsys):
         self._rejected(capsys, "ratios", lambda: self._cluster(
             workspace, tmp_path / "out", "--ratios", ""))

@@ -15,15 +15,20 @@ from oracles import (
     cl_local_search_loop,
     kmeans_baseline_loop,
     kmeanspp_seed_exact,
+    nearest_by_center_dist,
+    nearest_exact,
     partition_soft_set,
     pdist_broadcast,
+    seed_compact_exact,
 )
 from setclust import clustering, matching
 from setclust.clustering import (
     Convergence,
     Penalties,
     _flatten,
+    _merge_hard_sets,
     _objective,
+    _seed,
     _update_centers,
     build_groups,
     center_dist,
@@ -32,10 +37,13 @@ from setclust.clustering import (
     kmeanspp_seed,
     lsck,
     lsck_hc,
+    nearest_center,
+    point_frame,
     resolve_penalties,
     seed_and_group,
 )
 from setclust.constraints import CLSet, ConstraintCollection, MLSet
+from setclust.dataset import SyntheticSpec, generate_synthetic
 from setclust.matching import min_cost_matching
 
 
@@ -136,6 +144,95 @@ def test_seeding_matches_exact_differences(seed, m, dim, levels, offset, data):
     want, want_degenerate = kmeanspp_seed_exact(coords, weights, k, seed)
     assert np.array_equal(got, want)
     assert got_degenerate == want_degenerate
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60), dim=st.integers(1, 64),
+       levels=st.integers(0, 4), offset=st.sampled_from([0.0, 1e3, 1e6]), data=st.data())
+def test_nearest_center_matches_exact_differences(seed, m, dim, levels, offset, data):
+    # points drawn with replacement from a few distinct rows on an integer
+    # grid (levels 1-4: many exact ties) or of floats (levels 0); centers
+    # are grid rows, some of them coinciding with points; all share one
+    # large common offset
+    rng = np.random.default_rng(seed)
+    distinct = data.draw(st.integers(1, m), label="distinct")
+    if levels:
+        rows = rng.integers(0, levels + 1, size=(distinct + m, dim)).astype(np.float64)
+    else:
+        rows = rng.normal(size=(distinct + m, dim)) * 10
+    shift = offset * rng.uniform(0.5, 1.0, size=dim)
+    points = rows[rng.integers(0, distinct, size=m)] + shift
+    k = data.draw(st.integers(1, m), label="k")
+    centers = rows[rng.integers(0, distinct + m, size=k)] + shift
+    on_points = rng.random(k) < 0.5
+    centers[on_points] = points[rng.integers(0, m, size=int(on_points.sum()))]
+    got = nearest_center(point_frame(points), centers)
+    assert np.array_equal(got, nearest_exact(points, centers))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 40), dim=st.integers(1, 8),
+       levels=st.integers(0, 4), offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+       data=st.data())
+def test_seed_matches_compact_exact(seed, m, dim, levels, offset, data):
+    # hard blocks cover anywhere from two points to all of them; their mass
+    # centers come first in the draw order, then the free points
+    rng = np.random.default_rng(seed)
+    if levels:
+        points = rng.integers(0, levels + 1, size=(m, dim)).astype(np.float64)
+    else:
+        points = rng.normal(size=(m, dim)) * 10
+    points += offset * rng.uniform(0.5, 1.0, size=dim)
+    covered = rng.permutation(m)[:data.draw(st.integers(2, m), label="covered")]
+    n_sets = data.draw(st.integers(1, covered.size // 2), label="sets")
+    ml = [MLSet(members=tuple(sorted(part.tolist())), hard=True)
+          for part in np.array_split(covered, n_sets)]
+    hard = _merge_hard_sets(ml)
+    k = data.draw(st.integers(1, n_sets + m - covered.size), label="k")
+    frame = point_frame(points)
+    got, got_degenerate = _seed(frame, hard, k, seed)
+    want, want_degenerate = seed_compact_exact(frame, hard, k, seed)
+    assert np.array_equal(got, want)
+    assert got_degenerate == want_degenerate
+
+
+@pytest.mark.parametrize("algorithm", [lsck_hc, lsck])
+@pytest.mark.parametrize("data_seed", range(4))
+def test_runs_match_center_dist_rule(monkeypatch, algorithm, data_seed):
+    # continuous floats, where no two centers tie for a point: the runs
+    # give the labels of the center_dist argmin and compact exact seeding
+    rng = np.random.default_rng(data_seed)
+    points = rng.normal(size=(600, 12)) + rng.integers(0, 6, size=(600, 1)) * 3.0 + 1e3
+    ml = [MLSet(members=tuple(sorted(rng.choice(600, 8, replace=False).tolist())),
+                hard=bool(i % 2)) for i in range(12)]
+    cl = [CLSet(members=tuple(sorted(rng.choice(600, 3, replace=False).tolist())))
+          for _ in range(4)]
+    collection = ConstraintCollection(ml_sets=ml, cl_sets=cl)
+    data = make_dataset(points)
+    got = algorithm(data, collection, None, 6, data_seed)
+    monkeypatch.setattr(clustering, "nearest_center", nearest_by_center_dist)
+    monkeypatch.setattr(clustering, "_seed", seed_compact_exact)
+    want = algorithm(data, collection, None, 6, data_seed)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.centers, want.centers)
+    assert got.iterations == want.iterations
+
+
+class TestRedecided:
+    def test_positive_on_integer_grid(self):
+        grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+        res = kmeans_baseline(make_dataset(np.vstack([grid, grid])), k=4, seed=0)
+        assert res.redecided > 0
+
+    def test_zero_on_blobs20k(self):
+        # the benchmark's blobs20k-cluster dataset, with a few hard ML sets
+        data = generate_synthetic(SyntheticSpec(k_true=10, n=20000, dim=64, separation=3.0,
+                                                seed=0))
+        labels = data.labels()
+        ml = [MLSet(members=tuple(np.flatnonzero(labels == c)[:10].tolist()), hard=True)
+              for c in range(10)]
+        assert kmeans_baseline(data, k=10, seed=1).redecided == 0
+        assert lsck_hc(data, ConstraintCollection(ml_sets=ml), None, 10, 1).redecided == 0
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
