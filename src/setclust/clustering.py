@@ -16,6 +16,7 @@ from scipy.sparse import csr_array
 
 from setclust.constraints import ConstraintCollection, MLSet
 from setclust.dataset import EmbeddedDataset
+from setclust.geometry import KERNEL_BLOCK, PointFrame, nearest_center, point_frame
 from setclust.matching import min_cost_matching, without_each_row
 from setclust.oracle import DisjointSets
 
@@ -87,11 +88,6 @@ class ClusteringResult:
     redecided: int = 0
 
 
-# entries in the block of rows a distance kernel holds at once (256 KB): its
-# temporaries stay small and cache-resident for any input size
-_KERNEL_BLOCK = 1 << 15
-
-
 def center_dist(points: np.ndarray, centers: np.ndarray,
                 rows: np.ndarray | None = None) -> np.ndarray:
     """Squared distance of each point (rows) to each center (columns); with
@@ -108,7 +104,7 @@ def center_dist(points: np.ndarray, centers: np.ndarray,
     if rows is None:
         rows = np.arange(points.shape[0])
     d2 = np.empty((rows.size, centers.shape[0]))
-    step = max(1, _KERNEL_BLOCK // max(points.shape[1], 1))
+    step = max(1, KERNEL_BLOCK // max(points.shape[1], 1))
     for lo in range(0, rows.size, step):
         p = points[rows[lo:lo + step]]
         p -= shift
@@ -119,97 +115,6 @@ def center_dist(points: np.ndarray, centers: np.ndarray,
         del p  # before the next block is gathered, so only one is held
     d2 += np.einsum("ij,ij->i", c, c)
     return np.maximum(d2, 0.0, out=d2)
-
-
-@dataclass
-class PointFrame:
-    """A run's points with their mean and each point's squared distance to
-    it, taken once by ``point_frame`` for every distance read in the run.
-
-    A squared distance ``|x - c|^2`` is read as ``|x - m|^2 - 2 (x.s - m.s)
-    + |s|^2`` with ``s = c - m`` (``m`` the mean): one product of the
-    unshifted points with shifted centers. That product rounds with the
-    points' own magnitudes, so ``margin`` grows with ``|m| |s|`` as well as
-    with the squared norms.
-    """
-
-    points: np.ndarray
-    mean: np.ndarray
-    norms: np.ndarray
-    # rows ``nearest_center`` re-decided by exact differences
-    redecided: int = 0
-
-    def __post_init__(self):
-        self._ulps = 32.0 * (self.points.shape[1] + 4) * np.finfo(np.float64).eps
-        self._reach = float(np.sqrt(self.norms.max(initial=0.0)))
-        self._offset = float(np.sqrt(self.mean @ self.mean))
-
-    def margin(self, shift_norm: float) -> float:
-        """Rounding margin of readings against centers at most
-        ``shift_norm`` from the mean.
-
-        To first order, a reading and the exact form ``sum((x - c) ** 2)``
-        differ by at most ``4 (d + 4) eps ((r + t)^2 + |m| t)``, with ``r``
-        the largest ``|x - m|`` and ``t = shift_norm``: the product rounds
-        with ``|x| |s| <= (r + |m|) t``. The margin, ``32 (d + 4) eps ((r +
-        t)^2 + |m| t)``, is four times what two readings can err together, so
-        when one center is exactly at most as far as another its reading is
-        at most the other's plus the margin, and a coincident point reads at
-        most the margin.
-        """
-        return self._ulps * ((self._reach + shift_norm) ** 2 + self._offset * shift_norm)
-
-
-def point_frame(points: np.ndarray) -> PointFrame:
-    """The points' mean and squared distances to it, over row blocks, so no
-    shifted copy of the points is made."""
-    mean = points.mean(axis=0)
-    norms = np.empty(points.shape[0])
-    step = max(1, _KERNEL_BLOCK // max(points.shape[1], 1))
-    for lo in range(0, points.shape[0], step):
-        p = points[lo:lo + step] - mean
-        norms[lo:lo + step] = np.einsum("ij,ij->i", p, p)
-    return PointFrame(points, mean, norms)
-
-
-def _exact_nearest(points: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest center of each of ``points[rows]`` by exact differences
-    ``sum((x - c) ** 2)``, ties to the lowest index, over row blocks."""
-    nearest = np.empty(rows.size, dtype=np.int64)
-    step = max(1, _KERNEL_BLOCK // centers.size)
-    for lo in range(0, rows.size, step):
-        diff = points[rows[lo:lo + step], None, :] - centers
-        np.square(diff, out=diff)
-        nearest[lo:lo + step] = diff.sum(axis=2).argmin(axis=1)
-    return nearest
-
-
-def nearest_center(frame: PointFrame, centers: np.ndarray) -> np.ndarray:
-    """Index of the center nearest each of the frame's points, ties to the
-    lowest index: the argmin of exact differences ``sum((x - c) ** 2)``.
-
-    Each point reads ``|s|^2 - 2 (x.s - m.s)`` per center (its squared
-    distance less ``|x - m|^2``) off one product of ``-2 s`` with the
-    unshifted points, one row per center. A point with more than one reading
-    within the frame's margin of its smallest is re-decided by exact
-    differences and counted in ``frame.redecided``; any other point's one
-    such center is its exact nearest.
-    """
-    shifted = centers - frame.mean
-    shift_norms = np.einsum("ij,ij->i", shifted, shifted)
-    reading = (-2.0 * shifted) @ frame.points.T
-    reading += (shift_norms + 2.0 * (shifted @ frame.mean))[:, None]
-    bound = reading.min(axis=0)
-    bound += frame.margin(float(np.sqrt(shift_norms.max())))
-    # 1.0 where a center reads within the margin; a point with one such
-    # center gets its index as the sum of indices over them
-    within = np.less_equal(reading, bound, out=reading)
-    labels = (np.arange(centers.shape[0], dtype=np.float64) @ within).astype(np.int64)
-    near = np.flatnonzero(within.sum(axis=0) > 1)
-    if near.size:
-        frame.redecided += near.size
-        labels[near] = _exact_nearest(frame.points, near, centers)
-    return labels
 
 
 # index blocks as flat arrays: block i is members[offsets[i]:offsets[i + 1]]
@@ -246,38 +151,25 @@ def _segment_sums(points: np.ndarray, members: np.ndarray, offsets: np.ndarray) 
     return indicator @ points
 
 
-@dataclass
-class SeedPool:
-    """The rows k-means++ draws from, in draw order: ``heads`` (the hard
-    blocks' mass centers), then the frame's points at ``free`` (all of them
-    when None)."""
-
-    frame: PointFrame
-    heads: np.ndarray | None = None
-    free: np.ndarray | None = None
-
-
-def kmeanspp_seed(coords: np.ndarray | SeedPool, weights: np.ndarray, k: int,
-                  seed: int) -> tuple[np.ndarray, bool]:
-    """Weighted D^2 seeding over the rows of ``coords``, an array or a
-    ``SeedPool``.
+def kmeanspp_seed(frame: PointFrame, weights: np.ndarray, k: int, seed: int,
+                  heads: np.ndarray | None = None,
+                  free: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """Weighted D^2 seeding over ``heads`` (rows of their own, drawn first)
+    and then the frame's points at ``free`` (all of them when None).
 
     The first center is sampled proportionally to weight; each next center
     proportionally to weight times squared distance to the nearest chosen
     center. When fewer distinct points than k exist, sampling falls back to
     weight-proportional duplicates and the result is flagged degenerate.
 
-    A center's squared distances to the frame's points come from one
-    matrix-vector product with the unshifted points, read as in
-    ``PointFrame``; rows that read within the frame's margin of 0 are
-    recomputed by exact differences, so a coincident point reads exactly 0.
-    Distances to the heads are exact differences.
+    A center's squared distances to the frame's points are the frame's
+    vector reading; rows that read within its margin of 0 are recomputed by
+    exact differences, so a coincident point reads exactly 0. Distances to
+    the heads are exact differences.
     """
-    pool = coords if isinstance(coords, SeedPool) else SeedPool(
-        point_frame(np.asarray(coords, dtype=np.float64)))
-    frame, free = pool.frame, pool.free
     X = frame.points
-    heads = pool.heads if pool.heads is not None else X[:0]
+    if heads is None:
+        heads = X[:0]
     weights = np.asarray(weights, dtype=np.float64)
     if weights.sum() < k:
         raise ValueError("total weight must be at least k")
@@ -293,12 +185,9 @@ def kmeanspp_seed(coords: np.ndarray | SeedPool, weights: np.ndarray, k: int,
     reading = np.empty(X.shape[0])
 
     def sq_dist(c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        shifted = c - frame.mean
-        np.matmul(X, -2.0 * shifted, out=reading)
-        np.add(reading, 2.0 * (frame.mean @ shifted) + shifted @ shifted, out=reading)
-        np.add(reading, frame.norms, out=reading)
+        margin = frame.read_into(c, reading)
         np.maximum(reading, 0.0, out=reading)
-        near = np.flatnonzero(reading <= frame.margin(float(np.sqrt(shifted @ shifted))))
+        near = np.flatnonzero(reading <= margin)
         diff = X[near] - c
         np.square(diff, out=diff)
         reading[near] = diff.sum(axis=1)
@@ -517,13 +406,13 @@ def _seed(frame: PointFrame, hard: Blocks, k: int, seed: int) -> tuple[np.ndarra
     X = frame.points
     members, offsets = hard
     if members.size == 0:
-        return kmeanspp_seed(SeedPool(frame), np.ones(X.shape[0]), k, seed)
+        return kmeanspp_seed(frame, np.ones(X.shape[0]), k, seed)
     sizes = np.diff(offsets)
     heads = _segment_sums(X, members, offsets) / sizes[:, None]
     free = np.ones(X.shape[0], dtype=bool)
     free[members] = False
     weights = np.concatenate([sizes, np.ones(X.shape[0] - members.size, dtype=np.int64)])
-    return kmeanspp_seed(SeedPool(frame, heads, np.flatnonzero(free)), weights, k, seed)
+    return kmeanspp_seed(frame, weights, k, seed, heads, np.flatnonzero(free))
 
 
 _GAIN_TOL = 1e-6
@@ -592,18 +481,23 @@ def _assign(frame: PointFrame, groups: Groups, cl_sets, centers: np.ndarray, pen
 
     An element is a group or a point outside every group. Elements of CL
     sets are placed by the CL local search; every other element goes to the
-    center nearest its mass center. ML wins over CL: CL members that fall in
-    one block of this round's grouping (a hard block or a merged soft set)
-    count as one element, and a CL set left with fewer than two elements is
-    ignored for the round.
+    center nearest its mass center by ``nearest_center``, so exact ties go
+    to the lowest index for groups as for free points. ML wins over CL: CL
+    members that fall in one block of this round's grouping (a hard block or
+    a merged soft set) count as one element, and a CL set left with fewer
+    than two elements is ignored for the round.
     """
     X = frame.points
     n_groups = groups.offsets.size - 1
     # the element of each point: its group, or n_groups + i for a free point i
     point_elem = np.arange(n_groups, n_groups + X.shape[0])
     point_elem[groups.members] = np.repeat(np.arange(n_groups), groups.weights)
-    elem_center = np.concatenate([center_dist(groups.centroids, centers).argmin(axis=1),
-                                  nearest_center(frame, centers)])
+    elem_center = nearest_center(frame, centers)
+    if n_groups:
+        group_frame = point_frame(groups.centroids)
+        elem_center = np.concatenate([nearest_center(group_frame, centers), elem_center])
+        # the run's count covers the groups' re-decided rows too
+        frame.redecided += group_frame.redecided
     # CL sets over the elements they touch, which get rows 0, 1, ... in order
     row: dict[int, int] = {}
     cl_element_sets = []

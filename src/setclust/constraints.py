@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from setclust.dataset import EmbeddedDataset
-from setclust.geometry import GridPartition, point_dist
+from setclust.geometry import KERNEL_BLOCK, GridPartition, point_dist, point_frame
 from setclust.oracle import CLMembershipQuery, DisjointSets, MLGroupQuery, consistency_repeat
 
 ALPHA_PAIR = 5
@@ -65,36 +65,11 @@ class ConstraintCollection:
     shortfall: bool = False
 
 
-# float64 elements in one block of set_diameter's differences or Gram products
-# (512 KB)
-DIAMETER_BLOCK = 1 << 16
 # sets of at least this many points take set_diameter's Gram form; below it
-# the fixed cost of shifting and re-checking outweighs the saved arithmetic
+# the fixed cost of the frame and the re-check outweighs the saved arithmetic
 # (on a 2-vCPU x86-64 host the two took the same time at about 20 points,
 # dim 16 and 64)
 DIAMETER_GRAM_MIN = 20
-
-
-def _gram_margin(norms: np.ndarray, d: int) -> float:
-    """Rounding margin of squared distances read as ``|x|^2 - 2 x.y + |y|^2``
-    on mean-shifted rows of width ``d`` whose squared norms are ``norms``.
-
-    Each d-term sum rounds by at most about d ulps of the sum of its terms'
-    magnitudes, which the largest squared norm bounds; so do the sum and
-    square root of the exact form ``sqrt(sum((x - y) ** 2))``. The margin is
-    twice that first-order bound, so when one pair's exact distance is at
-    most another's, its reading is at most the other's plus the margin.
-    """
-    return 32.0 * (d + 4) * np.finfo(np.float64).eps * float(norms.max())
-
-
-def _shifted(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rows shifted by their mean, their squared norms and their
-    ``_gram_margin``; the shift keeps a large common offset from cancelling
-    the distances away."""
-    shifted = sub - sub.mean(axis=0)
-    norms = np.einsum("ij,ij->i", shifted, shifted)
-    return shifted, norms, _gram_margin(norms, sub.shape[1])
 
 
 def set_diameter(points: np.ndarray, members: tuple[int, ...]) -> float:
@@ -103,33 +78,32 @@ def set_diameter(points: np.ndarray, members: tuple[int, ...]) -> float:
     The result has the bits of the unblocked m×m×d form: the largest
     ``sqrt(sum((a - b) ** 2))`` over pairs. A set of fewer than
     ``DIAMETER_GRAM_MIN`` points takes exact differences of a block of rows
-    against every row. A larger set reads squared distances off Gram
-    products of a block of rows with the rows after it, on mean-shifted
-    coordinates, and recomputes by exact differences every pair that reads
-    within ``_gram_margin`` of the largest value read so far; the farthest
-    pair is always among them. Either way the temporaries hold about
-    ``DIAMETER_BLOCK`` elements (one row's worth when that is larger),
-    whatever the set size.
+    against every row. A larger set takes the matrix reading of its own
+    ``PointFrame``, a block of rows against the rows from the block on, and
+    recomputes by exact differences every pair that reads within the margin
+    of the largest value read so far; the farthest pair is always among
+    them. Either way the temporaries hold about ``KERNEL_BLOCK`` elements
+    (one row's worth when that is larger), whatever the set size.
     """
     sub = points[list(members)]
     m, d = sub.shape
     best = 0.0
     if m < DIAMETER_GRAM_MIN:
-        step = max(1, DIAMETER_BLOCK // (m * d))
+        step = max(1, KERNEL_BLOCK // (m * d))
         for lo in range(0, m, step):
             diffs = sub[lo:lo + step, None, :] - sub[None, :, :]
             np.square(diffs, out=diffs)
             best = max(best, float(np.sqrt(diffs.sum(axis=2)).max()))
         return best
-    shifted, norms, margin = _shifted(sub)
-    step = max(1, DIAMETER_BLOCK // m)
-    pair_step = max(1, DIAMETER_BLOCK // d)
+    frame = point_frame(sub)
+    step = max(1, KERNEL_BLOCK // m)
+    pair_step = max(1, KERNEL_BLOCK // d)
     top = -np.inf  # largest squared distance read so far
+    # the largest margin so far, which covers the reading of top's pair too
+    margin = 0.0
     for lo in range(0, m, step):
-        block = np.matmul(shifted[lo:lo + step], shifted[lo:].T)
-        block *= -2.0
-        block += norms[lo:lo + step, None]
-        block += norms[lo:]
+        block, block_margin = frame.read(sub[lo:lo + step], lo)
+        margin = max(margin, block_margin)
         top = max(top, float(block.max()))
         rows, cols = np.nonzero(block >= top - margin)
         rows += lo
@@ -153,25 +127,24 @@ def _locality_order(points: np.ndarray, cell: list[int]) -> list[int]:
     closest to the last one (ties to the lowest index), keeping mutually
     close points inside the same chunk when a large cell is split.
 
-    Each step reads ``|x|^2 - 2 x.c`` (the squared distance to the last
-    point ``c`` less ``|c|^2``) off one matrix-vector product on mean-shifted
-    coordinates, with visited rows at +inf. Only rows within
-    ``_gram_margin`` of the smallest reading can be the exact nearest; when
-    there are several, ``point_dist`` re-decides among them, so the chain is
-    the one exact differences give.
+    Each step is the vector reading of the cell's own ``PointFrame``
+    against the last point, with visited rows at +inf. Only rows within the
+    reading's margin of the smallest can be the exact nearest; when there
+    are several, ``point_dist`` re-decides among them, so the chain is the
+    one exact differences give.
     """
     ids = sorted(cell)
     if len(ids) <= 2:
         return ids
     sub = points[ids]
-    shifted, norms, margin = _shifted(sub)
+    frame = point_frame(sub)
     reading = np.empty(len(ids))
     last = 0
     order = [0]
     for _ in range(len(ids) - 1):
-        norms[last] = np.inf
-        np.matmul(shifted, -2.0 * shifted[last], out=reading)
-        reading += norms
+        # the frame is the chain's own, so a visited row's norm turns +inf
+        frame.norms[last] = np.inf
+        margin = frame.read_into(sub[last], reading)
         nearest = int(reading.argmin())
         bound = reading[nearest] + margin
         if np.count_nonzero(reading <= bound) > 1:

@@ -1,7 +1,9 @@
-"""Distances, Gonzalez k-center, and the level grid used for ML candidates."""
+"""Distances, the point frame that reads squared distances for both halves of
+the pipeline, Gonzalez k-center, and the level grid used for ML candidates."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,124 @@ def point_dist(X: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.subtract(X, c, out=buf)
     np.square(buf, out=buf)
     return np.sqrt(buf.sum(axis=1))
+
+
+# float64 entries in the block of rows a distance kernel holds at once (256
+# KB): its temporaries stay small and cache-resident for any input size
+KERNEL_BLOCK = 1 << 15
+_EPS = np.finfo(np.float64).eps
+
+
+@dataclass
+class PointFrame:
+    """Points with their mean and each point's squared distance to it, taken
+    once by ``point_frame`` for every squared distance read off the points.
+
+    A squared distance ``|x - c|^2`` is read as ``|x - m|^2 - 2 (x.s - m.s)
+    + |s|^2`` with ``s = c - m`` (``m`` the mean): one product of the
+    unshifted points with shifted centers, so no shifted copy of the points
+    is made. ``read`` takes a matrix of centers, ``read_into`` one center
+    into a buffer. A reading only picks candidates: callers re-decide by
+    exact differences whatever reads within ``margin`` of a decision. The
+    product rounds with the points' own magnitudes, so ``margin`` grows with
+    ``|m| |s|`` as well as with the squared norms.
+    """
+
+    points: np.ndarray
+    mean: np.ndarray
+    norms: np.ndarray
+    # rows ``nearest_center`` re-decided by exact differences
+    redecided: int = 0
+
+    def __post_init__(self):
+        self._ulps = 32.0 * (self.points.shape[1] + 4) * _EPS
+        self._reach = float(np.sqrt(self.norms.max(initial=0.0)))
+        self._offset = float(np.sqrt(self.mean @ self.mean))
+
+    def margin(self, shift_norm: float) -> float:
+        """Rounding margin of readings against centers at most
+        ``shift_norm`` from the mean.
+
+        To first order, a reading and the exact form ``sum((x - c) ** 2)``
+        differ by at most ``4 (d + 4) eps ((r + t)^2 + |m| t)``, with ``r``
+        the largest ``|x - m|`` and ``t = shift_norm``: the product rounds
+        with ``|x| |s| <= (r + |m|) t``. The margin, ``32 (d + 4) eps ((r +
+        t)^2 + |m| t)``, is four times what two readings can err together, so
+        when one distance is exactly at most another its reading is at most
+        the other's plus the margin, and a coincident point reads at most
+        the margin.
+        """
+        return self._ulps * ((self._reach + shift_norm) ** 2 + self._offset * shift_norm)
+
+    def read(self, centers: np.ndarray, start: int = 0) -> tuple[np.ndarray, float]:
+        """Squared distances of each center (rows) to each point from
+        ``start`` on (columns), off one matrix product, and their margin."""
+        shifted = centers - self.mean
+        shift_norms = np.einsum("ij,ij->i", shifted, shifted)
+        reading = (-2.0 * shifted) @ self.points[start:].T
+        reading += (shift_norms + 2.0 * (shifted @ self.mean))[:, None]
+        reading += self.norms[start:]
+        return reading, self.margin(float(np.sqrt(shift_norms.max())))
+
+    def read_into(self, c: np.ndarray, out: np.ndarray) -> float:
+        """Squared distance of every point to ``c``, read into ``out`` off
+        one matrix-vector product; returns their margin."""
+        shifted = c - self.mean
+        shift_sq = shifted.dot(shifted)
+        self.points.dot(-2.0 * shifted, out=out)
+        out += 2.0 * self.mean.dot(shifted) + shift_sq
+        out += self.norms
+        return self.margin(math.sqrt(shift_sq))
+
+
+def point_frame(points: np.ndarray) -> PointFrame:
+    """The points' mean and squared distances to it, over row blocks, so no
+    shifted copy of the points is made."""
+    mean = points.mean(axis=0)
+    norms = np.empty(points.shape[0])
+    step = max(1, KERNEL_BLOCK // max(points.shape[1], 1))
+    for lo in range(0, points.shape[0], step):
+        p = points[lo:lo + step] - mean
+        norms[lo:lo + step] = np.einsum("ij,ij->i", p, p)
+    return PointFrame(points, mean, norms)
+
+
+def _exact_nearest(points: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Nearest center of each of ``points[rows]`` by exact differences
+    ``sum((x - c) ** 2)``, ties to the lowest index, over row blocks."""
+    nearest = np.empty(rows.size, dtype=np.int64)
+    step = max(1, KERNEL_BLOCK // centers.size)
+    for lo in range(0, rows.size, step):
+        diff = points[rows[lo:lo + step], None, :] - centers
+        np.square(diff, out=diff)
+        nearest[lo:lo + step] = diff.sum(axis=2).argmin(axis=1)
+    return nearest
+
+
+def nearest_center(frame: PointFrame, centers: np.ndarray) -> np.ndarray:
+    """Index of the center nearest each of the frame's points, ties to the
+    lowest index: the argmin of exact differences ``sum((x - c) ** 2)``.
+
+    The squared distances come from the frame's matrix reading. A point with
+    more than one center within the margin of its smallest reading is
+    re-decided by exact differences and counted in ``frame.redecided``; any
+    other point's one such center is its exact nearest.
+    """
+    reading, margin = frame.read(centers)
+    bound = reading.min(axis=0)
+    bound += margin
+    # 1.0 where a center reads within the margin; one product gives each
+    # point the sum of their indices (its label when it has one such center)
+    # and their count
+    within = np.less_equal(reading, bound, out=reading)
+    k = centers.shape[0]
+    index_sum, count = np.vstack([np.arange(k, dtype=np.float64), np.ones(k)]) @ within
+    labels = index_sum.astype(np.int64)
+    near = np.flatnonzero(count > 1)
+    if near.size:
+        frame.redecided += near.size
+        labels[near] = _exact_nearest(frame.points, near, centers)
+    return labels
 
 
 def gonzalez_kcenter(data: EmbeddedDataset, k: int, seed: int) -> KCenterResult:

@@ -420,16 +420,16 @@ def kmeans_baseline_loop(data, k: int, seed: int, convergence=None):
     own: the reference for ``kmeans_baseline``, which runs the constrained
     loop with no constraint sets."""
     from setclust.clustering import (
-        ClusteringResult, Convergence, _objective, _update_centers, kmeanspp_seed, nearest_center,
-        point_frame)
+        ClusteringResult, Convergence, _objective, _update_centers, kmeanspp_seed)
+    from setclust.geometry import nearest_center, point_frame
 
     if not 1 <= k <= data.n:
         raise ValueError(f"k must be in [1, {data.n}]")
     conv = convergence if convergence is not None else Convergence()
     X = data.points
     tol = conv.resolve_tol(X)
-    centers, degenerate = kmeanspp_seed(X, np.ones(data.n), k, seed)
     frame = point_frame(X)
+    centers, degenerate = kmeanspp_seed(frame, np.ones(data.n), k, seed)
     iterations = 0
     converged = False
     for _ in range(conv.max_iters):

@@ -243,19 +243,22 @@ def test_criterion_9_noise_robustness(sweep, capfd):
 
 def test_criterion_10_scaling(capfd):
     sizes = (1000, 2000, 4000)
-    medians = []
+    instances = []
     for n in sizes:
         data = generate_synthetic(
             SyntheticSpec(k_true=K, n=n, dim=DIM, separation=3.0, seed=1))
         ml = _label_true_constraints(data).ml_sets
         clustering.seed_and_group(data, ml, Penalties(1.0, 1.0), K, seed=99)
-        times = []
-        for rep in range(5):
+        instances.append((data, ml))
+    # every repetition times each size once, so a burst of host load spreads
+    # over all sizes instead of landing on one
+    times = [[] for _ in sizes]
+    for rep in range(5):
+        for (data, ml), timed in zip(instances, times):
             start = time.perf_counter()
-            clustering.seed_and_group(data, ml, Penalties(1.0, 1.0),
-                                          K, seed=rep)
-            times.append(time.perf_counter() - start)
-        medians.append(float(np.median(times)))
+            clustering.seed_and_group(data, ml, Penalties(1.0, 1.0), K, seed=rep)
+            timed.append(time.perf_counter() - start)
+    medians = [float(np.median(timed)) for timed in times]
     ratios = [medians[i + 1] / medians[i] for i in range(len(sizes) - 1)]
     ok = all(r <= 2.5 for r in ratios)
     _announce(capfd, 10, "near-linear scaling in n", ok,

@@ -25,6 +25,7 @@ from setclust import clustering, matching
 from setclust.clustering import (
     Convergence,
     Penalties,
+    _assign,
     _flatten,
     _merge_hard_sets,
     _objective,
@@ -37,13 +38,12 @@ from setclust.clustering import (
     kmeanspp_seed,
     lsck,
     lsck_hc,
-    nearest_center,
-    point_frame,
     resolve_penalties,
     seed_and_group,
 )
 from setclust.constraints import CLSet, ConstraintCollection, MLSet
 from setclust.dataset import SyntheticSpec, generate_synthetic
+from setclust.geometry import nearest_center, point_frame
 from setclust.matching import min_cost_matching
 
 
@@ -87,7 +87,7 @@ class TestCenterDist:
 class TestKmeansppSeed:
     def test_k_equals_points(self):
         coords = np.array([[0.0], [3.0], [7.0]])
-        centers, degenerate = kmeanspp_seed(coords, np.ones(3), 3, seed=0)
+        centers, degenerate = kmeanspp_seed(point_frame(coords), np.ones(3), 3, seed=0)
         assert sorted(centers[:, 0].tolist()) == [0.0, 3.0, 7.0]
         assert not degenerate
 
@@ -95,30 +95,30 @@ class TestKmeansppSeed:
         coords = np.array([[0.0], [100.0]])
         weights = np.array([1.0, 1000.0])
         hits = sum(
-            kmeanspp_seed(coords, weights, 1, seed=s)[0][0, 0] == 100.0
+            kmeanspp_seed(point_frame(coords), weights, 1, seed=s)[0][0, 0] == 100.0
             for s in range(1000)
         )
         assert hits > 985  # expected ~999
 
     def test_degenerate_when_fewer_distinct_points(self):
-        centers, degenerate = kmeanspp_seed(np.zeros((3, 2)), np.ones(3), 3, seed=0)
+        centers, degenerate = kmeanspp_seed(point_frame(np.zeros((3, 2))), np.ones(3), 3, seed=0)
         assert degenerate
         assert centers.shape == (3, 2)
 
     def test_degenerate_with_offset_duplicates(self, rng):
         # exact differences: duplicates far from the origin still read 0
         coords = np.repeat(rng.normal(size=(2, 8)) + 1e6, 3, axis=0)
-        _, degenerate = kmeanspp_seed(coords, np.ones(6), 3, seed=0)
+        _, degenerate = kmeanspp_seed(point_frame(coords), np.ones(6), 3, seed=0)
         assert degenerate
 
     def test_insufficient_weight(self):
         with pytest.raises(ValueError):
-            kmeanspp_seed(np.zeros((2, 1)), np.ones(2), 3, seed=0)
+            kmeanspp_seed(point_frame(np.zeros((2, 1))), np.ones(2), 3, seed=0)
 
     def test_deterministic(self, rng):
         coords = rng.normal(size=(30, 2))
-        a, _ = kmeanspp_seed(coords, np.ones(30), 4, seed=9)
-        b, _ = kmeanspp_seed(coords, np.ones(30), 4, seed=9)
+        a, _ = kmeanspp_seed(point_frame(coords), np.ones(30), 4, seed=9)
+        b, _ = kmeanspp_seed(point_frame(coords), np.ones(30), 4, seed=9)
         assert np.array_equal(a, b)
 
 
@@ -140,7 +140,7 @@ def test_seeding_matches_exact_differences(seed, m, dim, levels, offset, data):
     coords = rows[rng.integers(0, distinct, size=m)] + offset * rng.uniform(0.5, 1.0, size=dim)
     weights = rng.integers(1, 5, size=m)
     k = data.draw(st.integers(1, m), label="k")
-    got, got_degenerate = kmeanspp_seed(coords, weights, k, seed)
+    got, got_degenerate = kmeanspp_seed(point_frame(coords), weights, k, seed)
     want, want_degenerate = kmeanspp_seed_exact(coords, weights, k, seed)
     assert np.array_equal(got, want)
     assert got_degenerate == want_degenerate
@@ -218,7 +218,42 @@ def test_runs_match_center_dist_rule(monkeypatch, algorithm, data_seed):
     assert got.iterations == want.iterations
 
 
+# the soft blocks of a collection whose ML sets are all hard
+NO_SOFT = (np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 30), dim=st.integers(1, 8),
+       k=st.integers(2, 8), offset=st.sampled_from([0.0, 1e3, 1e6]))
+def test_group_labels_are_exact_nearest(seed, m, dim, k, offset):
+    # hard blocks of two coincident points on an integer grid, where exact
+    # ties are common: a block goes to its members' exact nearest center,
+    # ties to the lowest index, as a free point does
+    rng = np.random.default_rng(seed)
+    shift = offset * rng.uniform(0.5, 1.0, size=dim)
+    base = rng.integers(0, 4, size=(m, dim)).astype(np.float64)
+    points = np.vstack([base, base]) + shift  # point i + m coincides with point i
+    centers = rng.integers(0, 4, size=(k, dim)) + shift
+    ml = [MLSet(members=(int(i), int(i) + m), hard=True)
+          for i in rng.permutation(m)[:(m + 1) // 2]]
+    groups = build_groups(points, _merge_hard_sets(ml), NO_SOFT, centers, 0.0)
+    labels = _assign(point_frame(points), groups, [], centers, Penalties(0.0, 0.0))
+    assert np.array_equal(labels, nearest_exact(points, centers))
+
+
 class TestRedecided:
+    def test_counts_groups(self):
+        # a hard block of two points midway between two centers: its members
+        # and its mass center each tie, and go to the lower index
+        points = np.array([[0.0], [0.0], [3.0]])
+        centers = np.array([[1.0], [-1.0]])
+        ml = [MLSet(members=(0, 1), hard=True)]
+        groups = build_groups(points, _merge_hard_sets(ml), NO_SOFT, centers, 0.0)
+        frame = point_frame(points)
+        labels = _assign(frame, groups, [], centers, Penalties(0.0, 0.0))
+        assert labels.tolist() == [0, 0, 0]
+        assert frame.redecided == 3
+
     def test_positive_on_integer_grid(self):
         grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
         res = kmeans_baseline(make_dataset(np.vstack([grid, grid])), k=4, seed=0)

@@ -68,10 +68,10 @@ def layout_points(rng, n: int, d: int, layout: str, offset: float) -> np.ndarray
 
 
 class TestSetDiameter:
-    @pytest.mark.parametrize("block", [constraints.DIAMETER_BLOCK, 1])
+    @pytest.mark.parametrize("block", [geometry.KERNEL_BLOCK, 1])
     def test_bit_equal_to_broadcast(self, monkeypatch, block):
         # block 1 takes one row per block on every set
-        monkeypatch.setattr(constraints, "DIAMETER_BLOCK", block)
+        monkeypatch.setattr(constraints, "KERNEL_BLOCK", block)
         rng = np.random.default_rng(block)
         gram_sets = 0
         for trial in range(240):
@@ -89,7 +89,7 @@ class TestSetDiameter:
         rng = np.random.default_rng(5)
         points = rng.normal(size=(300, 64))
         members = tuple(range(300))
-        assert 300 * 300 * 64 > constraints.DIAMETER_BLOCK  # more than one block
+        assert 300 * 300 * 64 > geometry.KERNEL_BLOCK  # more than one block
         want = float(np.sqrt(pdist_broadcast(points, points)).max())
         assert set_diameter(points, members) == want
 

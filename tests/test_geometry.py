@@ -16,6 +16,7 @@ from setclust.geometry import (
     grid_levels,
     grid_partition,
     point_dist,
+    point_frame,
 )
 
 
@@ -39,6 +40,28 @@ class TestPointDist:
     def test_single_point_and_single_dimension(self):
         X = np.array([[3.0]])
         assert point_dist(X, np.array([-1.5]), np.empty((1, 1))).tolist() == [4.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), d=st.integers(1, 64),
+       offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]), exponent=st.floats(-3.0, 3.0))
+def test_frame_readings_within_an_eighth_of_the_margin(seed, n, d, offset, exponent):
+    # the first-order bound of PointFrame.margin: one reading errs by at most
+    # an eighth of the margin, against centers on points and off them
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exponent
+    shift = offset * rng.uniform(0.5, 1.0, size=d)
+    points = rng.normal(size=(n, d)) * scale + shift
+    centers = np.vstack([points[rng.integers(0, n, size=3)],
+                         rng.normal(size=(3, d)) * scale + shift])
+    exact = ((points[None, :, :] - centers[:, None, :]) ** 2).sum(axis=2)
+    frame = point_frame(points)
+    reading, margin = frame.read(centers)
+    assert np.all(np.abs(reading - exact) <= margin / 8)
+    out = np.empty(n)
+    for c, want in zip(centers, exact):
+        margin = frame.read_into(c, out)
+        assert np.all(np.abs(out - want) <= margin / 8)
 
 
 class TestGonzalezKCenter:
