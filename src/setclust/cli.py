@@ -39,6 +39,7 @@ def cmd_gen_constraints(args) -> int:
     config = harness.ExperimentConfig(
         k=args.k, oracle_backend=args.oracle, oracle_error_rate=args.error_rate,
         oracle_seed=args.oracle_seed, oracle_model=args.model)
+    harness.check_generation(data, args.k, args.m_max)
     oracle = harness.make_oracle(config, data, transcript_path=args.transcript)
     collection = harness.generate_constraints(data, oracle, args.k, args.seed,
                                               m_max=args.m_max)

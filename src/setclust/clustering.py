@@ -16,7 +16,7 @@ from scipy.sparse import csr_array
 
 from setclust.constraints import ConstraintCollection, MLSet
 from setclust.dataset import EmbeddedDataset
-from setclust.geometry import KERNEL_BLOCK, PointFrame, nearest_center, point_frame
+from setclust.geometry import PointFrame, nearest_center, point_frame, sq_dist
 from setclust.matching import min_cost_matching, without_each_row
 from setclust.oracle import DisjointSets
 
@@ -41,8 +41,8 @@ class Penalties:
 class Convergence:
     """Outer-loop stopping rule.
 
-    ``tol`` bounds the max squared center displacement; None selects
-    1e-4 times the squared bounding-box diagonal of the data.
+    Stop once the max squared center displacement is at most ``tol``; None
+    selects 1e-4 times the squared bounding-box diagonal of the data.
     """
 
     tol: float | None = None
@@ -86,35 +86,6 @@ class ClusteringResult:
     min_gain_seen: float = field(default=np.inf)
     # rows the nearest-center kernel re-decided by exact differences, for auditing
     redecided: int = 0
-
-
-def center_dist(points: np.ndarray, centers: np.ndarray,
-                rows: np.ndarray | None = None) -> np.ndarray:
-    """Squared distance of each point (rows) to each center (columns); with
-    ``rows``, of each point ``points[rows]``, without copying them out.
-
-    Computed as ``|x|^2 - 2 x.c + |c|^2`` by matrix products over row
-    blocks of the points, after shifting both sides by the centers' mean so
-    that a large common offset does not cancel the distances away. Rounding
-    can leave a tiny negative square, so squares are clipped at 0;
-    coincident points need not read exactly 0.
-    """
-    shift = centers.mean(axis=0)
-    c = centers - shift
-    if rows is None:
-        rows = np.arange(points.shape[0])
-    d2 = np.empty((rows.size, centers.shape[0]))
-    step = max(1, KERNEL_BLOCK // max(points.shape[1], 1))
-    for lo in range(0, rows.size, step):
-        p = points[rows[lo:lo + step]]
-        p -= shift
-        block = d2[lo:lo + step]
-        np.matmul(p, c.T, out=block)
-        block *= -2.0
-        block += np.einsum("ij,ij->i", p, p)[:, None]
-        del p  # before the next block is gathered, so only one is held
-    d2 += np.einsum("ij,ij->i", c, c)
-    return np.maximum(d2, 0.0, out=d2)
 
 
 # index blocks as flat arrays: block i is members[offsets[i]:offsets[i + 1]]
@@ -184,7 +155,7 @@ def kmeanspp_seed(frame: PointFrame, weights: np.ndarray, k: int, seed: int,
 
     reading = np.empty(X.shape[0])
 
-    def sq_dist(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def dist_to(c: np.ndarray, out: np.ndarray) -> np.ndarray:
         margin = frame.read_into(c, reading)
         np.maximum(reading, 0.0, out=reading)
         near = np.flatnonzero(reading <= margin)
@@ -204,7 +175,7 @@ def kmeanspp_seed(frame: PointFrame, weights: np.ndarray, k: int, seed: int,
     first = int(rng.choice(m, p=weights / weights.sum()))
     chosen = [first]
     degenerate = False
-    d2 = sq_dist(row(first), np.empty(m))
+    d2 = dist_to(row(first), np.empty(m))
     buf = np.empty(m)
     while len(chosen) < k:
         mass = weights * d2
@@ -215,7 +186,7 @@ def kmeanspp_seed(frame: PointFrame, weights: np.ndarray, k: int, seed: int,
         else:
             idx = int(rng.choice(m, p=mass / total))
         chosen.append(idx)
-        np.minimum(d2, sq_dist(row(idx), buf), out=d2)
+        np.minimum(d2, dist_to(row(idx), buf), out=d2)
     return np.array([row(idx) for idx in chosen]), degenerate
 
 
@@ -286,7 +257,7 @@ def _merge_parts(sums: np.ndarray, cost_to: np.ndarray, size: np.ndarray,
     slots = np.where(cols < count[:, None], first[:, None] + cols, n)
     near = np.zeros(n + 1)  # cost from each part's mass center to its nearest center
     split = slots[slots < n]
-    near[split] = center_dist(sums[split] / size[split, None], centers).min(axis=1)
+    near[split] = sq_dist(sums[split] / size[split, None], centers).min(axis=1)
     running = np.ones(first.size, dtype=bool)
     while running.any():
         rows = np.flatnonzero(running)
@@ -303,7 +274,7 @@ def _merge_parts(sums: np.ndarray, cost_to: np.ndarray, size: np.ndarray,
             a, b = a[active], b[active]
             union_size = size[a] + size[b]
             union_sum = sums[a] + sums[b]
-            d = center_dist(union_sum / union_size[:, None], centers)
+            d = sq_dist(union_sum / union_size[:, None], centers)
             target = d.argmin(axis=1)
             merged_cost = cost_to[a, target] + cost_to[b, target]
             merge = (w_ml + near[b]) * size[b] + (w_ml + near[a]) * size[a] > merged_cost
@@ -332,7 +303,7 @@ def _soft_groups(points: np.ndarray, soft: Blocks, centers: np.ndarray,
     if members.size == 0:  # the baseline, and runs whose ML sets are all hard
         return np.empty(0, dtype=np.int64), np.empty((0, points.shape[1]))
     set_of = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-    dist = center_dist(points, centers, rows=members)
+    dist = sq_dist(points, centers, rows=members)
     key = set_of * centers.shape[0] + dist.argmin(axis=1)
     # parts: the members of one set nearest one center
     order = np.argsort(key, kind="stable")
@@ -444,7 +415,7 @@ def cl_local_search(elements: tuple[np.ndarray, np.ndarray], cl_element_sets: li
             raise ValueError(f"CL set has {len(Y)} blocks but only {k} centers")
         while Y:
             w = np.asarray(weights[Y], dtype=np.float64)
-            costs = center_dist(centroids[Y], centers) * w[:, None]
+            costs = sq_dist(centroids[Y], centers) * w[:, None]
             matching = min_cost_matching(costs)
             nearest_cols = np.argmin(costs, axis=1)
             gains = np.empty(len(Y))
@@ -583,7 +554,7 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
         centers = new_centers
         groups = build_groups(X, start.hard, start.soft, centers, pen.w_ml)
         iterations += 1
-        if displacement < tol:
+        if displacement <= tol:
             converged = True
             break
     # final assignment against the final centers, so the reported labels and

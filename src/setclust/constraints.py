@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from setclust.dataset import EmbeddedDataset
-from setclust.geometry import KERNEL_BLOCK, GridPartition, point_dist, point_frame
+from setclust.geometry import KERNEL_BLOCK, GridPartition, point_dist, point_frame, sq_dist
 from setclust.oracle import CLMembershipQuery, DisjointSets, MLGroupQuery, consistency_repeat
 
 ALPHA_PAIR = 5
@@ -77,24 +77,19 @@ def set_diameter(points: np.ndarray, members: tuple[int, ...]) -> float:
 
     The result has the bits of the unblocked m×m×d form: the largest
     ``sqrt(sum((a - b) ** 2))`` over pairs. A set of fewer than
-    ``DIAMETER_GRAM_MIN`` points takes exact differences of a block of rows
-    against every row. A larger set takes the matrix reading of its own
-    ``PointFrame``, a block of rows against the rows from the block on, and
-    recomputes by exact differences every pair that reads within the margin
-    of the largest value read so far; the farthest pair is always among
-    them. Either way the temporaries hold about ``KERNEL_BLOCK`` elements
-    (one row's worth when that is larger), whatever the set size.
+    ``DIAMETER_GRAM_MIN`` points takes the root of the largest ``sq_dist``
+    of the set to itself (sqrt is monotone). A larger set takes the matrix
+    reading of its own ``PointFrame``, a block of rows against the rows from
+    the block on, and recomputes by exact differences every pair that reads
+    within the margin of the largest value read so far; the farthest pair is
+    always among them. Either way the temporaries hold about
+    ``KERNEL_BLOCK`` elements (one row's worth when that is larger).
     """
     sub = points[list(members)]
     m, d = sub.shape
-    best = 0.0
     if m < DIAMETER_GRAM_MIN:
-        step = max(1, KERNEL_BLOCK // (m * d))
-        for lo in range(0, m, step):
-            diffs = sub[lo:lo + step, None, :] - sub[None, :, :]
-            np.square(diffs, out=diffs)
-            best = max(best, float(np.sqrt(diffs.sum(axis=2)).max()))
-        return best
+        return float(np.sqrt(sq_dist(sub, sub).max()))
+    best = 0.0
     frame = point_frame(sub)
     step = max(1, KERNEL_BLOCK // m)
     pair_step = max(1, KERNEL_BLOCK // d)
@@ -503,10 +498,25 @@ def save_constraints(collection: ConstraintCollection, path: str | Path) -> None
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _members(entry, keys: tuple[str, ...]) -> tuple[int, ...]:
+    """Members of a constraint-file entry holding ``keys``, each an int >= 0."""
+    if not (isinstance(entry, dict) and all(key in entry for key in keys)):
+        raise ValueError(f"constraint entry needs keys {', '.join(keys)}, got {entry!r}")
+    if not isinstance(entry.get("hard", False), bool):
+        raise ValueError(f"hard must be true or false, got {entry['hard']!r}")
+    members = entry["members"]
+    if not (isinstance(members, list) and all(type(m) is int and m >= 0 for m in members)):
+        raise ValueError(f"constraint members must be nonnegative integers, got {members!r}")
+    return tuple(members)
+
+
 def load_constraints(path: str | Path) -> ConstraintCollection:
+    """A constraint file; members beyond the data are the caller's to reject."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    ml = [MLSet(members=tuple(e["members"]), hard=bool(e["hard"]),
+    if not isinstance(doc, dict):
+        raise ValueError(f"a constraint file holds a JSON object, got {type(doc).__name__}")
+    ml = [MLSet(members=_members(e, ("members", "hard")), hard=e["hard"],
                 diameter=float(e.get("diameter", 0.0)), level=e.get("level"))
           for e in doc.get("ml", [])]
-    cl = [CLSet(members=tuple(e["members"])) for e in doc.get("cl", [])]
+    cl = [CLSet(members=_members(e, ("members",))) for e in doc.get("cl", [])]
     return ConstraintCollection(ml_sets=ml, cl_sets=cl, meta=doc.get("meta", {}))

@@ -1,5 +1,5 @@
-"""Distances, the point frame that reads squared distances for both halves of
-the pipeline, Gonzalez k-center, and the level grid used for ML candidates."""
+"""Distances: the exact squared-distance kernel, the point frame whose readings
+pick its candidates, Gonzalez k-center, and the grid used for ML candidates."""
 
 from __future__ import annotations
 
@@ -133,16 +133,22 @@ def point_frame(points: np.ndarray) -> PointFrame:
     return PointFrame(points, mean, norms)
 
 
-def _exact_nearest(points: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest center of each of ``points[rows]`` by exact differences
-    ``sum((x - c) ** 2)``, ties to the lowest index, over row blocks."""
-    nearest = np.empty(rows.size, dtype=np.int64)
+def sq_dist(points: np.ndarray, centers: np.ndarray,
+            rows: np.ndarray | None = None) -> np.ndarray:
+    """Squared distance of each point (rows) to each center (columns) by
+    exact differences ``sum((x - c) ** 2)``; with ``rows``, of each point
+    ``points[rows]``. Row blocks of about ``KERNEL_BLOCK`` elements keep the
+    temporaries small; every entry has the bits of the unblocked n×k×d form,
+    so a coincident point reads exactly 0."""
+    n = points.shape[0] if rows is None else len(rows)
+    out = np.empty((n, centers.shape[0]))
     step = max(1, KERNEL_BLOCK // centers.size)
-    for lo in range(0, rows.size, step):
-        diff = points[rows[lo:lo + step], None, :] - centers
+    for lo in range(0, n, step):
+        block = points[lo:lo + step] if rows is None else points[rows[lo:lo + step]]
+        diff = block[:, None, :] - centers
         np.square(diff, out=diff)
-        nearest[lo:lo + step] = diff.sum(axis=2).argmin(axis=1)
-    return nearest
+        diff.sum(axis=2, out=out[lo:lo + step])
+    return out
 
 
 def nearest_center(frame: PointFrame, centers: np.ndarray) -> np.ndarray:
@@ -151,7 +157,7 @@ def nearest_center(frame: PointFrame, centers: np.ndarray) -> np.ndarray:
 
     The squared distances come from the frame's matrix reading. A point with
     more than one center within the margin of its smallest reading is
-    re-decided by exact differences and counted in ``frame.redecided``; any
+    re-decided by ``sq_dist`` and counted in ``frame.redecided``; any
     other point's one such center is its exact nearest.
     """
     reading, margin = frame.read(centers)
@@ -165,9 +171,8 @@ def nearest_center(frame: PointFrame, centers: np.ndarray) -> np.ndarray:
     index_sum, count = np.vstack([np.arange(k, dtype=np.float64), np.ones(k)]) @ within
     labels = index_sum.astype(np.int64)
     near = np.flatnonzero(count > 1)
-    if near.size:
-        frame.redecided += near.size
-        labels[near] = _exact_nearest(frame.points, near, centers)
+    frame.redecided += near.size
+    labels[near] = sq_dist(frame.points, centers, rows=near).argmin(axis=1)
     return labels
 
 

@@ -67,16 +67,29 @@ class ExperimentConfig:
 
 def make_oracle(config: ExperimentConfig, data: EmbeddedDataset,
                 transcript_path: str | None = None) -> SimulatedOracle | RemoteOracle:
-    ledger = QueryLedger(transcript_path=transcript_path)
     if config.oracle_backend == "sim":
         labels = {r.id: r.label for r in data.records}
         if any(v is None for v in labels.values()):
             raise ValueError("simulated oracle needs a labeled dataset")
-        return SimulatedOracle(labels, error_rate=config.oracle_error_rate,
-                               seed=config.oracle_seed, ledger=ledger)
-    if config.oracle_backend == "remote":
-        return RemoteOracle(model=config.oracle_model, ledger=ledger)
-    raise ValueError(f"unknown oracle backend {config.oracle_backend!r}")
+        oracle = SimulatedOracle(labels, error_rate=config.oracle_error_rate,
+                                 seed=config.oracle_seed)
+    elif config.oracle_backend == "remote":
+        oracle = RemoteOracle(model=config.oracle_model)
+    else:
+        raise ValueError(f"unknown oracle backend {config.oracle_backend!r}")
+    # made last: it truncates the transcript, which a rejected oracle keeps
+    oracle.ledger = QueryLedger(transcript_path=transcript_path)
+    return oracle
+
+
+def check_generation(data: EmbeddedDataset, k: int, m_max: int) -> None:
+    """Reject a ``k`` or ``m_max`` generation cannot run with, before any query."""
+    if k < 2:
+        raise ValueError("k >= 2 required")
+    if k > data.n:
+        raise ValueError(f"k must be at most the {data.n} points, got {k}")
+    if m_max < 2:
+        raise ValueError("m_max >= 2 required")
 
 
 def generate_constraints(data: EmbeddedDataset, oracle, k: int, seed: int,
@@ -87,10 +100,7 @@ def generate_constraints(data: EmbeddedDataset, oracle, k: int, seed: int,
     while still giving the local search cross-cluster separation evidence.
     ``k`` and ``m_max`` are checked before the oracle is asked anything.
     """
-    if k < 2:
-        raise ValueError("k >= 2 required")
-    if m_max < 2:
-        raise ValueError("m_max >= 2 required")
+    check_generation(data, k, m_max)
     kcr = geometry.gonzalez_kcenter(data, k, seed)
     levels = geometry.grid_levels(kcr.cost, data.n, data.dim)
     grid = geometry.grid_partition(data, levels, kcr)
@@ -173,6 +183,9 @@ def run_experiment(data: EmbeddedDataset, pool: ConstraintCollection,
     """One result file per (ratio, seed); constraints are mixed per ratio.
     Auto penalties do not depend on the constraints, so each seed resolves
     them in its first run only; result files still say "auto"."""
+    top = max((max(s.members) for s in [*pool.ml_sets, *pool.cl_sets]), default=-1)
+    if top >= data.n:
+        raise ValueError(f"constraint member {top} is out of range for {data.n} points")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -391,15 +391,6 @@ def nearest_exact(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return pdist_broadcast(points, centers).argmin(axis=1)
 
 
-def nearest_by_center_dist(frame, centers: np.ndarray) -> np.ndarray:
-    """The assignment rule ``nearest_center`` replaced: the argmin of
-    ``center_dist`` over all points, which shifts every block of points by
-    the centers' mean on every call. A drop-in for ``nearest_center``."""
-    from setclust.clustering import center_dist
-
-    return center_dist(frame.points, centers).argmin(axis=1)
-
-
 def seed_compact_exact(frame, hard, k: int, seed: int) -> tuple[np.ndarray, bool]:
     """k-means++ over the hard blocks' mass centers (member sums in member
     order over the size) and the points outside them, copied into one array
@@ -438,7 +429,7 @@ def kmeans_baseline_loop(data, k: int, seed: int, convergence=None):
         displacement = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
         iterations += 1
-        if displacement < tol:
+        if displacement <= tol:
             converged = True
             break
     labels = nearest_center(frame, centers)
@@ -458,15 +449,13 @@ def partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarr
     the set-by-set reference for ``build_groups``, which runs the same passes
     over every soft set at once.
     """
-    from setclust.clustering import center_dist
-
-    near = np.argmin(center_dist(points[members], centers), axis=1)
+    near = np.argmin(pdist_broadcast(points[members], centers), axis=1)
     parts = [[m for m, c in zip(members, near) if c == cid]
              for cid in sorted(set(near.tolist()))]
 
     def nearest(part: list[int]) -> tuple[int, float]:
         """Center nearest the part's mass center, and its cost."""
-        d = center_dist(points[part].mean(axis=0)[None, :], centers)[0]
+        d = pdist_broadcast(points[part].mean(axis=0)[None, :], centers)[0]
         c = int(np.argmin(d))
         return c, float(d[c])
 
@@ -484,7 +473,7 @@ def partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarr
                 pa, pb = alive[a], alive[b]
                 union = pa + pb
                 cij, union_cost = nearest(union)
-                merged_cost = float(center_dist(points[union], centers[cij][None, :]).sum())
+                merged_cost = float(pdist_broadcast(points[union], centers[cij][None, :]).sum())
                 if (w_ml + cost[b]) * len(pb) + (w_ml + cost[a]) * len(pa) > merged_cost:
                     alive[a], alive[b], cost[a] = union, None, union_cost
                     changed = True
@@ -496,7 +485,7 @@ def cl_local_search_loop(elements, cl_element_sets, centers, w_cl, gain_trace=No
     """CL local search that solves one full matching per release candidate:
     the reference for ``cl_local_search``, which reads every remove-one
     matching off the round's matching."""
-    from setclust.clustering import _GAIN_TOL, InvariantError, center_dist
+    from setclust.clustering import _GAIN_TOL, InvariantError
     from setclust.matching import Matching, min_cost_matching
 
     centroids, weights = elements
@@ -508,7 +497,7 @@ def cl_local_search_loop(elements, cl_element_sets, centers, w_cl, gain_trace=No
             raise ValueError(f"CL set has {len(Y)} blocks but only {k} centers")
         while Y:
             w = np.asarray(weights[Y], dtype=np.float64)
-            costs = center_dist(centroids[Y], centers) * w[:, None]
+            costs = pdist_broadcast(centroids[Y], centers) * w[:, None]
             matching = min_cost_matching(costs)
             nearest_cols = np.argmin(costs, axis=1)
             gains = np.empty(len(Y))

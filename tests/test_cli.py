@@ -210,14 +210,52 @@ class TestErrors:
             workspace, tmp_path / "out", "--k", "0"))
         assert not (tmp_path / "out").exists()
 
+    def _generate(self, workspace, tmp_path, *extra):
+        return main(["gen-constraints", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--embeddings", str(workspace / "emb.bin"), *extra,
+                     "--out", str(tmp_path / "cons.json")])
+
     def test_one_k_rejected_before_any_query(self, workspace, tmp_path, capsys):
         transcript = tmp_path / "t.jsonl"
-        self._rejected(capsys, "k >= 2 required", lambda: main([
-            "gen-constraints", "--corpus", str(workspace / "corpus.jsonl"),
-            "--embeddings", str(workspace / "emb.bin"), "--k", "1",
-            "--transcript", str(transcript), "--out", str(tmp_path / "cons.json")]))
-        assert transcript.read_text() == ""
+        transcript.write_text("an earlier run\n")
+        self._rejected(capsys, "k >= 2 required", lambda: self._generate(
+            workspace, tmp_path, "--k", "1", "--transcript", str(transcript)))
+        assert transcript.read_text() == "an earlier run\n"
         assert not (tmp_path / "cons.json").exists()
+
+    @pytest.mark.parametrize("flags, match", [
+        (["--k", "100"], "k must be at most the 45 points"),
+        (["--k", "3", "--m-max", "1"], "m_max >= 2 required"),
+        (["--k", "3", "--error-rate", "2"], "error_rate must lie in [0, 1]"),
+    ], ids=["k-above-n", "m-max-1", "error-rate-2"])
+    def test_bad_generation_input_keeps_transcript(self, workspace, tmp_path, capsys,
+                                                   flags, match):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text("an earlier run\n")
+        self._rejected(capsys, match, lambda: self._generate(
+            workspace, tmp_path, *flags, "--transcript", str(transcript)))
+        assert transcript.read_text() == "an earlier run\n"
+        assert not (tmp_path / "cons.json").exists()
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"ml": [{"members": [0, -1], "hard": True}]}, "nonnegative integers"),
+        ({"cl": [{"members": [0, 1.0]}]}, "nonnegative integers"),
+        ({"cl": [{"members": [0, True]}]}, "nonnegative integers"),
+        ({"ml": [{"members": [0, 1]}]}, "needs keys members, hard"),
+        ({"ml": [{"members": [0, 1], "hard": "false"}]}, "hard must be true or false"),
+        ({"cl": [{"ids": [0, 1]}]}, "needs keys members"),
+        ([{"members": [0, 1]}], "a constraint file holds a JSON object"),
+        ({"cl": [{"members": [0, 45]}]}, "constraint member 45 is out of range for 45 points"),
+        ({"ml": [{"members": [3, 99], "hard": False}]}, "constraint member 99 is out of range"),
+    ], ids=["negative", "float", "bool", "no-hard", "string-hard", "no-members", "not-object",
+            "cl-member-n", "ml-member-above-n"])
+    def test_bad_constraint_file_rejected_before_output(self, workspace, tmp_path, capsys,
+                                                        doc, match):
+        cons = tmp_path / "cons.json"
+        cons.write_text(json.dumps(doc))
+        self._rejected(capsys, match, lambda: self._cluster(
+            workspace, tmp_path / "out", "--constraints", str(cons)))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--config", "--constraints"])
     def test_missing_input_file_rejected_before_output(self, workspace, tmp_path, capsys, flag):

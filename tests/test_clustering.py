@@ -15,10 +15,8 @@ from oracles import (
     cl_local_search_loop,
     kmeans_baseline_loop,
     kmeanspp_seed_exact,
-    nearest_by_center_dist,
     nearest_exact,
     partition_soft_set,
-    pdist_broadcast,
     seed_compact_exact,
 )
 from setclust import clustering, matching
@@ -32,7 +30,6 @@ from setclust.clustering import (
     _seed,
     _update_centers,
     build_groups,
-    center_dist,
     cl_local_search,
     kmeans_baseline,
     kmeanspp_seed,
@@ -45,43 +42,6 @@ from setclust.constraints import CLSet, ConstraintCollection, MLSet
 from setclust.dataset import SyntheticSpec, generate_synthetic
 from setclust.geometry import nearest_center, point_frame
 from setclust.matching import min_cost_matching
-
-
-class TestCenterDist:
-    # tolerance fixed before the test was written: float64 rounding of the
-    # expansion stays within a few units in the last place of
-    # |x - m|^2 + |c - m|^2 (m the centers' mean) per coordinate, far below
-    # this bound
-    REL = 1e-12
-
-    def _bound(self, points, centers):
-        shift = centers.mean(axis=0)
-        return self.REL * (((points - shift) ** 2).sum(axis=1)[:, None]
-                           + ((centers - shift) ** 2).sum(axis=1)[None, :])
-
-    @pytest.mark.parametrize("offset", [0.0, 1e6])
-    def test_matches_broadcast(self, rng, offset):
-        points = rng.normal(size=(5000, 8)) + offset
-        centers = rng.normal(size=(7, 8)) + offset
-        got = center_dist(points, centers)
-        want = pdist_broadcast(points, centers)
-        assert np.all(np.abs(got - want) <= self._bound(points, centers))
-        assert np.array_equal(got.argmin(axis=1), want.argmin(axis=1))
-
-    def test_rows_select_points(self, rng):
-        points = rng.normal(size=(50, 3))
-        centers = rng.normal(size=(4, 3))
-        rows = rng.permutation(50)[:20]
-        assert np.array_equal(center_dist(points, centers, rows=rows),
-                              center_dist(points[rows], centers))
-
-    def test_coincident_points_read_near_zero(self, rng):
-        centers = rng.normal(size=(5, 4)) * 3 + 1e6
-        points = np.vstack([centers, centers[::-1]])
-        got = center_dist(points, centers)
-        assert np.all(got >= 0.0)
-        coincident = got[np.arange(10), [0, 1, 2, 3, 4, 4, 3, 2, 1, 0]]
-        assert np.all(coincident <= self._bound(points, centers).max())
 
 
 class TestKmeansppSeed:
@@ -200,7 +160,7 @@ def test_seed_matches_compact_exact(seed, m, dim, levels, offset, data):
 @pytest.mark.parametrize("data_seed", range(4))
 def test_runs_match_center_dist_rule(monkeypatch, algorithm, data_seed):
     # continuous floats, where no two centers tie for a point: the runs
-    # give the labels of the center_dist argmin and compact exact seeding
+    # give the labels of the broadcast exact argmin and compact exact seeding
     rng = np.random.default_rng(data_seed)
     points = rng.normal(size=(600, 12)) + rng.integers(0, 6, size=(600, 1)) * 3.0 + 1e3
     ml = [MLSet(members=tuple(sorted(rng.choice(600, 8, replace=False).tolist())),
@@ -210,7 +170,8 @@ def test_runs_match_center_dist_rule(monkeypatch, algorithm, data_seed):
     collection = ConstraintCollection(ml_sets=ml, cl_sets=cl)
     data = make_dataset(points)
     got = algorithm(data, collection, None, 6, data_seed)
-    monkeypatch.setattr(clustering, "nearest_center", nearest_by_center_dist)
+    monkeypatch.setattr(clustering, "nearest_center",
+                        lambda frame, centers: nearest_exact(frame.points, centers))
     monkeypatch.setattr(clustering, "_seed", seed_compact_exact)
     want = algorithm(data, collection, None, 6, data_seed)
     assert np.array_equal(got.labels, want.labels)
@@ -313,15 +274,23 @@ class TestSoftSetPartition:
             assert sorted(m for p in parts for m in p) == list(range(10))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(0, 12), n_hard=st.integers(0, 3),
-       k=st.integers(1, 6), dim=st.integers(1, 4), w_ml=st.floats(0.0, 60.0))
-def test_batched_groups_match_set_by_set(seed, n_sets, n_hard, k, dim, w_ml):
+       k=st.integers(1, 6), dim=st.integers(1, 4), w_ml=st.floats(0.0, 60.0),
+       grid_offset=st.sampled_from([None, 0.0, 1e3, 1e6]))
+def test_batched_groups_match_set_by_set(seed, n_sets, n_hard, k, dim, w_ml, grid_offset):
+    # floats (grid_offset None), or points on an integer grid and centers
+    # on its even nodes, shifted by a common offset, so that members often
+    # lie midway between two centers and tie
     rng = np.random.default_rng(seed)
     sizes = rng.integers(2, 9, size=n_sets)
     ids = rng.permutation(int(sizes.sum()) + 3 * n_hard + 4).tolist()
-    points = rng.normal(size=(len(ids), dim)) * 3
-    centers = rng.normal(size=(k, dim)) * 3
+    if grid_offset is None:
+        points = rng.normal(size=(len(ids), dim)) * 3
+        centers = rng.normal(size=(k, dim)) * 3
+    else:
+        points = rng.integers(0, 5, size=(len(ids), dim)) + grid_offset
+        centers = 2 * rng.integers(0, 3, size=(k, dim)) + grid_offset
     hard = [tuple(sorted(ids[3 * i:3 * i + 3])) for i in range(n_hard)]
     ends = np.cumsum(sizes) + 3 * n_hard
     soft = [ids[end - size:end] for end, size in zip(ends, sizes)]
@@ -588,6 +557,16 @@ class TestKmeansBaseline:
         data = make_dataset(rng.normal(size=(30, 2)))
         res = kmeans_baseline(data, k=2, seed=0)
         assert res.converged
+
+    @pytest.mark.parametrize("run", [kmeans_baseline, kmeans_baseline_loop])
+    def test_zero_tol_stops_at_fixed_point(self, rng, run):
+        # blobs with tol 0, and coincident points, whose resolved tol is 0:
+        # a run stops once the centers no longer move
+        blobs = rng.normal(size=(500, 2)) + rng.integers(0, 3, size=(500, 1)) * 40.0
+        res = run(make_dataset(blobs), 3, 0, Convergence(tol=0.0))
+        assert res.converged and res.iterations < 100
+        res = run(make_dataset(np.ones((20, 3))), 2, 0)
+        assert res.converged and res.iterations == 1
 
 
 @settings(max_examples=100, deadline=None)

@@ -72,6 +72,7 @@ class TestSetDiameter:
     def test_bit_equal_to_broadcast(self, monkeypatch, block):
         # block 1 takes one row per block on every set
         monkeypatch.setattr(constraints, "KERNEL_BLOCK", block)
+        monkeypatch.setattr(geometry, "KERNEL_BLOCK", block)
         rng = np.random.default_rng(block)
         gram_sets = 0
         for trial in range(240):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_dataset
-from oracles import grid_first_fit, kcenter_brute_force
+from oracles import grid_first_fit, kcenter_brute_force, pdist_broadcast
+from setclust import geometry
 from setclust.geometry import (
     KCenterResult,
     gonzalez_kcenter,
@@ -17,6 +18,7 @@ from setclust.geometry import (
     grid_partition,
     point_dist,
     point_frame,
+    sq_dist,
 )
 
 
@@ -62,6 +64,36 @@ def test_frame_readings_within_an_eighth_of_the_margin(seed, n, d, offset, expon
     for c, want in zip(centers, exact):
         margin = frame.read_into(c, out)
         assert np.all(np.abs(out - want) <= margin / 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(1, 8),
+       d=st.integers(1, 40), levels=st.integers(0, 4),
+       offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]), rows_per_block=st.integers(1, 5))
+def test_sq_dist_bit_equal_to_broadcast(seed, n, k, d, levels, offset, rows_per_block):
+    # floats (levels 0) or an integer grid, under a common offset; some
+    # centers are points; the kernel block is cut to a few rows, so blocks
+    # end inside the points and inside ``rows``, which come in any order
+    # and may repeat
+    rng = np.random.default_rng(seed)
+    shift = offset * rng.uniform(0.5, 1.0, size=d)
+    if levels:
+        points = rng.integers(0, levels + 1, size=(n, d)) + shift
+        centers = rng.integers(0, levels + 1, size=(k, d)) + shift
+    else:
+        points = rng.normal(size=(n, d)) * 10 + shift
+        centers = rng.normal(size=(k, d)) * 10 + shift
+    on_point = rng.integers(0, n, size=k)
+    coincide = rng.random(k) < 0.5
+    centers[coincide] = points[on_point[coincide]]
+    rows = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "KERNEL_BLOCK", rows_per_block * k * d)
+        got = sq_dist(points, centers)
+        got_rows = sq_dist(points, centers, rows=rows)
+    assert np.array_equal(got, pdist_broadcast(points, centers))
+    assert np.array_equal(got_rows, pdist_broadcast(points[rows], centers))
+    assert np.all(got[on_point[coincide], np.flatnonzero(coincide)] == 0.0)
 
 
 class TestGonzalezKCenter:
