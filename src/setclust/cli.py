@@ -50,6 +50,7 @@ def cmd_gen_constraints(args) -> int:
     print(f"ledger: ml={meta['ml_queries']} cl={meta['cl_queries']} "
           f"consistency={meta['consistency_queries']} (cl rejections {meta['cl_rejections']}, "
           f"failed backend attempts {oracle.ledger.failed_attempts})")
+    print(f"largest query: {oracle.ledger.max_query_texts} texts (m_max {args.m_max})")
     return 0
 
 

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from setclust.dataset import EmbeddedDataset
-from setclust.geometry import KERNEL_BLOCK, GridPartition, point_dist, point_frame, sq_dist
+from setclust.geometry import (KERNEL_BLOCK, GridPartition, farther_than, point_dist, point_frame,
+                               sq_dist)
 from setclust.oracle import CLMembershipQuery, DisjointSets, MLGroupQuery, consistency_repeat
 
 ALPHA_PAIR = 5
@@ -392,22 +393,20 @@ def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int,
     eligible point remains; singleton sets are discarded (their seed still
     counts as covered so generation terminates). ``max_sets`` caps the number
     of kept sets (None grows sets until every point is covered). Returns the
-    kept sets and the number of rejected membership probes.
+    kept sets and the number of rejected membership probes. The gate is
+    ``farther_than``: one reading of the points' frame per member.
     """
     if k < 2:
         raise ValueError("k >= 2 required")
     rng = np.random.default_rng(seed)
-    X = data.points
-    buf = np.empty_like(X)
+    frame = point_frame(data.points)
+    reading = np.empty(data.n)
     uncovered = np.ones(data.n, dtype=bool)
     cl_sets: list[CLSet] = []
     rejections = 0
 
     def far_from(eligible: np.ndarray, point: int) -> np.ndarray:
-        # the indices are in range; "clip" writes straight into buf, where
-        # the default "raise" would stage the rows in a fresh temporary
-        rows = np.take(X, eligible, axis=0, out=buf[:eligible.size], mode="clip")
-        return eligible[point_dist(rows, X[point], buf) > cost_kc]
+        return farther_than(frame, data.points[point], cost_kc, eligible, reading)
 
     while uncovered.any():
         if max_sets is not None and len(cl_sets) >= max_sets:

@@ -181,21 +181,70 @@ def gonzalez_kcenter(data: EmbeddedDataset, k: int, seed: int) -> KCenterResult:
 
     The first center is drawn uniformly at random under ``seed``; each
     subsequent center is the point farthest from the current center set
-    (plain Euclidean distance, ties to the lowest index).
+    (plain Euclidean distance ``point_dist``, ties to the lowest index).
+
+    Each center costs one vector reading of the points' frame. Per point the
+    smallest reading, its center and the second-smallest reading are kept.
+    The farthest point is chosen by exact differences among the points whose
+    smallest reading lies within the largest margin so far of the maximum;
+    ``nearest_dist`` is exact against each point's reading-nearest center,
+    and against every center for a point whose second reading lies within
+    the margin. So indices, cost and distances have the bits of one exact
+    pass per center.
     """
     n = data.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     X = data.points
+    frame = point_frame(X)
     first = int(np.random.default_rng(seed).integers(n))
     chosen = [first]
-    buf = np.empty_like(X)
-    nearest = point_dist(X, X[first], buf)
+    reading = np.empty(n)
+    margin = frame.read_into(X[first], reading)
+    best = reading.copy()  # smallest reading per point
+    owner = np.zeros(n, dtype=np.int64)  # its position in ``chosen``
+    second = np.full(n, np.inf)  # second-smallest reading per point
     while len(chosen) < k:
-        nxt = int(np.argmax(nearest))
-        chosen.append(nxt)
-        np.minimum(nearest, point_dist(X, X[nxt], buf), out=nearest)
+        cand = np.flatnonzero(best >= best.max() - margin)
+        far = np.sqrt(sq_dist(X, X[chosen], rows=cand).min(axis=1))
+        chosen.append(int(cand[np.argmax(far)]))
+        margin = max(margin, frame.read_into(X[chosen[-1]], reading))
+        np.minimum(second, np.maximum(best, reading), out=second)
+        owner[reading < best] = len(chosen) - 1
+        np.minimum(best, reading, out=best)
+    centers = X[chosen]
+    step = max(1, KERNEL_BLOCK // max(X.shape[1], 1))
+    nearest = np.empty(n)
+    for lo in range(0, n, step):
+        diff = centers[owner[lo:lo + step]]
+        np.subtract(X[lo:lo + step], diff, out=diff)
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=nearest[lo:lo + step])
+    near = np.flatnonzero(second <= best + margin)
+    nearest[near] = sq_dist(X, centers, rows=near).min(axis=1)
+    np.sqrt(nearest, out=nearest)
     return KCenterResult(center_indices=chosen, cost=float(nearest.max()), nearest_dist=nearest)
+
+
+def farther_than(frame: PointFrame, c: np.ndarray, radius: float, rows: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """The entries of ``rows`` whose point lies farther than ``radius`` from
+    ``c``: ``point_dist(frame.points[rows], c) > radius``, bit for bit.
+
+    One vector reading into ``out`` (one float per point) decides every row
+    whose reading lies farther from ``radius ** 2`` than the margin plus 8
+    eps of ``radius ** 2`` (the rounding of the square and of the root);
+    ``point_dist`` re-decides the rows within that.
+    """
+    margin = frame.read_into(c, out)
+    reading = out[rows]
+    bound = radius * radius
+    far = reading > bound
+    near = np.flatnonzero(np.abs(reading - bound) <= margin + 8.0 * _EPS * bound)
+    if near.size:
+        pts = frame.points[rows[near]]
+        far[near] = point_dist(pts, c, pts) > radius
+    return rows[far]
 
 
 # growth of the grid radius from one level to the next

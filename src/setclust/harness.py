@@ -55,6 +55,12 @@ class ExperimentConfig:
         if not (isinstance(self.ratios, (list, tuple)) and self.ratios
                 and all(_is_real(r) and 0.0 <= r <= 1.0 for r in self.ratios)):
             raise ValueError(f"ratios must be a nonempty list in [0, 1], got {self.ratios!r}")
+        # a result file is named by its seed and its ratio at two decimals
+        for name, keys in (("seeds", self.seeds), ("ratios", [f"{r:.2f}" for r in self.ratios])):
+            repeated = sorted({key for key in keys if keys.count(key) > 1})
+            if repeated:
+                raise ValueError(f"{name} must name distinct result files, "
+                                 f"got {', '.join(map(str, repeated))} more than once")
         if not (self.tol is None or (_is_real(self.tol) and 0.0 <= self.tol < math.inf)):
             raise ValueError(f"tol must be null or a finite number >= 0, got {self.tol!r}")
         if self.penalties != "auto":
@@ -209,13 +215,23 @@ def run_experiment(data: EmbeddedDataset, pool: ConstraintCollection,
     return written
 
 
+def _files_in(result_dir: str | Path, pattern: str, hint: str) -> list[Path]:
+    """The files of ``result_dir`` matching ``pattern``; none is an error."""
+    if not Path(result_dir).is_dir():
+        raise ValueError(f"results directory {result_dir} does not exist")
+    paths = sorted(Path(result_dir).glob(pattern))
+    if not paths:
+        raise ValueError(f"no {pattern} files in {result_dir}; {hint}")
+    return paths
+
+
 def evaluate_results(data: EmbeddedDataset, result_dir: str | Path) -> list[Path]:
-    """Write a metrics sidecar for every result file against dataset labels."""
+    """Write a metrics sidecar for every result file against dataset labels;
+    a missing directory, or one without result files, raises ``ValueError``."""
     truth = data.labels()
     written = []
-    for path in sorted(Path(result_dir).glob("result_*.json")):
-        if path.name.endswith(".metrics.json"):
-            continue
+    # a result file's name ends in its seed, a metric sidecar's in .metrics.json
+    for path in _files_in(result_dir, "result_*[0-9].json", "run `setclust cluster` first"):
         doc = json.loads(path.read_text(encoding="utf-8"))
         pred = np.array(doc["assignment"], dtype=np.int64)
         mixed = ConstraintCollection(
@@ -251,10 +267,11 @@ def write_report(result_dir: str | Path, out_csv: str | Path) -> list[dict]:
 
     Rows carry (algorithm, ratio, metric, mean, stddev, n_seeds) at 4-decimal
     precision; the query table compares the generation ledger with the
-    pairwise-equivalent count per ratio.
+    pairwise-equivalent count per ratio. A missing directory, or one without
+    metric sidecars, raises ``ValueError`` before ``out_csv`` is opened.
     """
     cells: dict[tuple[str, float], list[dict]] = {}
-    for path in sorted(Path(result_dir).glob("*.metrics.json")):
+    for path in _files_in(result_dir, "*.metrics.json", "run `setclust evaluate` first"):
         doc = json.loads(path.read_text(encoding="utf-8"))
         cells.setdefault((doc["algorithm"], doc["ratio"]), []).append(doc)
     rows = []

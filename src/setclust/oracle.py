@@ -75,13 +75,15 @@ class QueryLedger:
     and every recorded query that carries an entry appends it as one JSON
     line. ``failed_attempts`` counts backend calls that failed and were
     retried or surfaced; it is not part of ``total``, which counts answered
-    queries.
+    queries. ``max_query_texts`` is the text count of the largest answered
+    query, as the oracle reports it to ``record``.
     """
 
     ml_queries: int = 0
     cl_queries: int = 0
     consistency_queries: int = 0
     failed_attempts: int = 0
+    max_query_texts: int = 0
     transcript_path: str | None = None
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -89,7 +91,7 @@ class QueryLedger:
         if self.transcript_path is not None:
             open(self.transcript_path, "w", encoding="utf-8").close()
 
-    def record(self, kind: str, entry: dict | None = None) -> None:
+    def record(self, kind: str, entry: dict | None = None, texts: int = 0) -> None:
         with self._lock:
             if kind == "ml":
                 self.ml_queries += 1
@@ -99,6 +101,7 @@ class QueryLedger:
                 self.consistency_queries += 1
             else:
                 raise ValueError(f"unknown query kind {kind!r}")
+            self.max_query_texts = max(self.max_query_texts, texts)
             if self.transcript_path is not None and entry is not None:
                 with open(self.transcript_path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps(entry) + "\n")
@@ -212,7 +215,7 @@ class SimulatedOracle:
             lambda i, j: self._same(query.ids[i], query.ids[j], repeat, context),
         )
         self.ledger.record(kind, {"kind": "ml", "ids": list(query.ids), "repeat": repeat,
-                                  "groups": [list(g) for g in groups]})
+                                  "groups": [list(g) for g in groups]}, texts=len(query.ids))
         return MLGroupResponse(groups=groups)
 
     def query_cl_membership(self, query: CLMembershipQuery) -> CLMembershipResponse:
@@ -224,7 +227,7 @@ class SimulatedOracle:
                 break
         self.ledger.record("cl", {"kind": "cl", "set_ids": list(query.set_ids),
                                   "candidate": query.candidate_id, "repeat": 0,
-                                  "matched": matched})
+                                  "matched": matched}, texts=len(query.set_ids) + 1)
         return CLMembershipResponse(matched_index=matched)
 
 
@@ -338,7 +341,7 @@ class RemoteOracle:
         resp.raise_for_status()
         return resp.json()["choices"][0]["message"]["content"]
 
-    def _chat(self, prompt: str, parse, kind: str, context: dict):
+    def _chat(self, prompt: str, parse, kind: str, context: dict, texts: int):
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -357,7 +360,8 @@ class RemoteOracle:
                 self.ledger.record_failure()
                 continue
             self.ledger.record(kind, {**context, "request": payload, "response": content,
-                                      "latency_ms": round(1000 * (time.monotonic() - start), 1)})
+                                      "latency_ms": round(1000 * (time.monotonic() - start), 1)},
+                               texts=texts)
             return result
         raise OracleBackendError(
             f"backend failed after {self.max_attempts} attempts: {last_error}"
@@ -376,11 +380,12 @@ class RemoteOracle:
             context["order"] = order
         items = "\n".join(f"{i}. {query.texts[q]}" for i, q in enumerate(order))
         listed = self._chat(ML_PROMPT.format(items=items), lambda c: parse_ml_response(c, m),
-                            kind, context)
+                            kind, context, texts=m)
         return MLGroupResponse(groups=tuple(tuple(order[i] for i in g) for g in listed.groups))
 
     def query_cl_membership(self, query: CLMembershipQuery) -> CLMembershipResponse:
         members = "\n".join(f"{i}. {t}" for i, t in enumerate(query.set_texts))
         prompt = CL_PROMPT.format(members=members, candidate=query.candidate_text)
         return self._chat(prompt, lambda c: parse_cl_response(c, len(query.set_ids)), "cl",
-                          {"kind": "cl", "candidate": query.candidate_id, "repeat": 0})
+                          {"kind": "cl", "candidate": query.candidate_id, "repeat": 0},
+                          texts=len(query.set_ids) + 1)

@@ -27,6 +27,20 @@ def make_dataset(points, labels=None) -> EmbeddedDataset:
     return EmbeddedDataset(points=points, records=records)
 
 
+def hard_points(rng, n: int, d: int, kind: str, offset: float) -> np.ndarray:
+    """Points where readings tie or nearly tie: an integer grid, rows
+    duplicated from a few sites, or those rows moved by about 1e-9 of the
+    offset (1e-9 at offset 0), all under a common offset."""
+    shift = offset * rng.uniform(0.5, 1.0, size=d)
+    if kind == "grid":
+        return rng.integers(0, 4, size=(n, d)) + shift
+    sites = rng.integers(0, 4, size=(max(1, n // 4), d)).astype(float)
+    points = sites[rng.integers(0, len(sites), size=n)]
+    if kind == "near":
+        points = points + rng.integers(-2, 3, size=(n, d)) * (1e-9 * max(offset, 1.0))
+    return points + shift
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -71,6 +71,20 @@ def cut_segments_loop(points: np.ndarray, order: list[int], tau: float) -> list[
     return segments
 
 
+def kcenter_loop(points: np.ndarray, k: int, seed: int):
+    """Farthest-first traversal with one full exact pass per center: the
+    first center drawn by ``seed``, each next one the first argmax of every
+    point's ``np.linalg.norm`` distance to its nearest center. Returns
+    (center indices, cost, nearest distances)."""
+    first = int(np.random.default_rng(seed).integers(len(points)))
+    chosen = [first]
+    nearest = np.linalg.norm(points - points[first], axis=1)
+    while len(chosen) < k:
+        chosen.append(int(np.argmax(nearest)))
+        nearest = np.minimum(nearest, np.linalg.norm(points - points[chosen[-1]], axis=1))
+    return chosen, float(nearest.max()), nearest
+
+
 def kcenter_brute_force(points: np.ndarray, k: int) -> float:
     """Optimal min-max k-center cost by enumerating every k-subset."""
     n = len(points)

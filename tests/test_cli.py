@@ -136,6 +136,18 @@ class TestTranscript:
         assert all(isinstance(json.loads(line), dict) for line in lines)
         assert texts[0] == texts[1]
 
+    def test_largest_query_printed_after_the_ledger(self, workspace, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        assert main(["gen-constraints", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--embeddings", str(workspace / "emb.bin"), "--k", "3", "--m-max", "4",
+                     "--transcript", str(path), "--out", str(tmp_path / "cons.json")]) == 0
+        entries = [json.loads(line) for line in path.read_text().splitlines()]
+        largest = max(len(e["ids"]) if e["kind"] == "ml" else len(e["set_ids"]) + 1
+                      for e in entries)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("ledger: ")
+        assert lines[-1] == f"largest query: {largest} texts (m_max 4)"
+
 
 class TestErrors:
     def _cluster(self, workspace, out, *extra):
@@ -204,6 +216,37 @@ class TestErrors:
         self._rejected(capsys, "ratios", lambda: self._cluster(
             workspace, tmp_path / "out", "--ratios", ""))
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, match", [
+        (["--seeds", "0,0,1"], "seeds must name distinct result files, got 0 more than once"),
+        (["--ratios", "0.2,0.2"], "got 0.20 more than once"),
+        (["--ratios", "0.201,0.204"], "got 0.20 more than once"),
+    ], ids=["seeds", "ratios", "ratios-at-two-decimals"])
+    def test_repeated_result_file_rejected_before_output(self, workspace, tmp_path, capsys,
+                                                         flags, match):
+        # a repeated flag overrides the helper's --seeds
+        self._rejected(capsys, match, lambda: self._cluster(
+            workspace, tmp_path / "out", *flags))
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_without_results_rejected(self, workspace, tmp_path, capsys):
+        def evaluate(results):
+            return lambda: main(["evaluate", "--corpus", str(workspace / "corpus.jsonl"),
+                                 "--embeddings", str(workspace / "emb.bin"),
+                                 "--results", str(results)])
+        self._rejected(capsys, "does not exist", evaluate(tmp_path / "nope"))
+        self._rejected(capsys, "no result_", evaluate(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_without_metrics_rejected_before_output(self, workspace, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        self._rejected(capsys, "does not exist", lambda: main(
+            ["report", "--results", str(tmp_path / "nope"), "--out", str(out)]))
+        # a results directory that was never evaluated
+        assert self._cluster(workspace, tmp_path / "raw") == 0
+        self._rejected(capsys, "run `setclust evaluate` first", lambda: main(
+            ["report", "--results", str(tmp_path / "raw"), "--out", str(out)]))
+        assert not out.exists()
 
     def test_zero_k_rejected_before_output(self, workspace, tmp_path, capsys):
         self._rejected(capsys, "k must be an integer >= 1", lambda: self._cluster(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import hard_points, make_dataset
 from oracles import (
     cut_segments_loop,
     dedup_ml_sets_loop,
@@ -365,6 +365,21 @@ class TestGenerateCLSets:
             sub = pts[list(s.members)]
             gaps = np.linalg.norm(sub[:, None] - sub[None], axis=2)
             assert (gaps[np.triu_indices(len(sub), 1)] > cost_kc).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 50), d=st.integers(1, 16),
+           kind=st.sampled_from(["grid", "dup", "near"]),
+           offset=st.sampled_from([0.0, 1e3, 1e6]), k=st.integers(2, 6),
+           p=st.sampled_from([0.0, 0.1]))
+    def test_cost_at_a_pairwise_distance_same_as_loop(self, seed, n, d, kind, offset, k, p):
+        # cost_kc is the distance of two of the points, so pairs exactly
+        # cost_kc apart sit at the gate, under offsets that blur the readings
+        rng = np.random.default_rng(seed)
+        pts = hard_points(rng, n, d, kind, offset)
+        a, b = rng.integers(0, n, size=2)
+        cost_kc = float(np.linalg.norm(pts[a] - pts[b]))
+        data = make_dataset(pts, labels=rng.integers(0, 8, size=n))
+        self._same_as_loop(data, cost_kc, k=k, seed=seed % 1000, p=p)
 
     @pytest.mark.parametrize("cost_kc", [0.0, 0.5])
     def test_coincident_points(self, cost_kc):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import make_dataset
-from oracles import grid_first_fit, kcenter_brute_force, pdist_broadcast
+from conftest import hard_points, make_dataset
+from oracles import grid_first_fit, kcenter_brute_force, kcenter_loop, pdist_broadcast
 from setclust import geometry
 from setclust.geometry import (
     KCenterResult,
+    farther_than,
     gonzalez_kcenter,
     grid_levels,
     grid_partition,
@@ -268,3 +269,37 @@ class TestGridMatchesFirstFit:
             data = make_dataset(points)
             kcr = gonzalez_kcenter(data, int(rng.integers(1, min(n, 10) + 1)), seed=trial)
             self.check(points, grid_levels(kcr.cost, n, dim), kcr.nearest_dist)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 64),
+       kind=st.sampled_from(["grid", "dup", "near"]), offset=st.sampled_from([0.0, 1e3, 1e6]),
+       k_frac=st.floats(0.0, 1.0))
+def test_kcenter_bit_equal_to_loop(seed, n, d, kind, offset, k_frac):
+    # the frame-read traversal against one exact pass per center: same
+    # centers, and the same bits of the cost and of every nearest distance
+    rng = np.random.default_rng(seed)
+    points = hard_points(rng, n, d, kind, offset)
+    k = 1 + int(k_frac * (n - 1))
+    got = gonzalez_kcenter(make_dataset(points), k, seed=seed)
+    chosen, cost, nearest = kcenter_loop(points, k, seed)
+    assert got.center_indices == chosen
+    assert got.cost.hex() == cost.hex()
+    assert got.nearest_dist.tobytes() == nearest.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 64),
+       kind=st.sampled_from(["grid", "dup", "near"]), offset=st.sampled_from([0.0, 1e3, 1e6]))
+def test_farther_than_bit_equal_to_point_dist(seed, n, d, kind, offset):
+    # radii are actual distances from the center, so exact ties sit at the
+    # gate; the center is a point or a grid node off the points
+    rng = np.random.default_rng(seed)
+    points = hard_points(rng, n, d, kind, offset)
+    frame = point_frame(points)
+    rows = np.flatnonzero(rng.random(n) < 0.7)
+    c = points[rng.integers(n)] if rng.random() < 0.5 else points[rng.integers(n)] + 1.0
+    dist = point_dist(points, c, np.empty_like(points))
+    for radius in [*dist[rng.integers(0, n, size=3)], 0.0]:
+        got = farther_than(frame, c, radius, rows, np.empty(n))
+        assert np.array_equal(got, rows[dist[rows] > radius])

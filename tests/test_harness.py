@@ -3,9 +3,13 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from setclust import clustering, harness
@@ -60,6 +64,17 @@ class TestExperimentConfig:
     ])
     def test_bad_sweep_setting(self, name, value):
         with pytest.raises(ValueError, match=name):
+            ExperimentConfig(k=3, **{name: value})
+
+    @pytest.mark.parametrize("name, value, named", [
+        ("seeds", [0, 0, 1], "0"), ("seeds", [3, 1, 3, 1], "1, 3"),
+        ("ratios", [0.2, 0.2], "0.20"), ("ratios", [0.201, 0.204, 0.5], "0.20"),
+        ("ratios", [0.0, 0.001], "0.00"),
+    ])
+    def test_repeated_result_file_rejected(self, name, value, named):
+        # two runs named by one result file would overwrite each other
+        with pytest.raises(ValueError, match=f"{name} must name distinct result files, "
+                                             f"got {named} more than once"):
             ExperimentConfig(k=3, **{name: value})
 
     def test_good_sweep_settings(self):
@@ -136,6 +151,24 @@ class TestGenerateConstraints:
         assert [s.members for s in colls[0].ml_sets] == [s.members for s in colls[1].ml_sets]
         assert [s.members for s in colls[0].cl_sets] == [s.members for s in colls[1].cl_sets]
         assert colls[0].meta == colls[1].meta
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(6, 80), k=st.integers(2, 8), m_max=st.integers(2, 12),
+           p=st.sampled_from([0.0, 0.1, 0.3]), seed=st.integers(0, 1000))
+    def test_ledger_records_largest_query(self, n, k, m_max, p, seed):
+        # the largest text count among the transcript's lines: an ML line
+        # lists its texts, a CL line its members and one candidate
+        data = generate_synthetic(SyntheticSpec(k_true=4, n=n, dim=3, separation=2.0,
+                                                seed=seed))
+        k = min(k, n)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.jsonl"
+            oracle = harness.make_oracle(sim_config(oracle_error_rate=p, oracle_seed=seed),
+                                         data, transcript_path=str(path))
+            harness.generate_constraints(data, oracle, k=k, seed=seed, m_max=m_max)
+            lines = [json.loads(line) for line in path.read_text().splitlines()]
+        texts = [len(e["ids"]) if e["kind"] == "ml" else len(e["set_ids"]) + 1 for e in lines]
+        assert oracle.ledger.max_query_texts == max(texts)
 
     @pytest.mark.parametrize("k, m_max", [(1, 10), (3, 1)])
     def test_bad_k_or_m_max_rejected_before_any_query(self, blob_data, k, m_max):

@@ -372,6 +372,25 @@ class TestLedger:
         assert lines[0]["groups"] == [[0, 1], [2]]
         assert lines[2]["matched"] is None
 
+    def test_largest_query_counts_answered_texts(self):
+        # an ML query counts its texts, a CL query its members plus the
+        # candidate; a failed backend call counts nothing
+        sim = SimulatedOracle({i: i % 2 for i in range(6)})
+        sim.query_ml_group(ml_query([0, 1, 2]))
+        assert sim.ledger.max_query_texts == 3
+        sim.query_cl_membership(CLMembershipQuery(
+            set_ids=(0, 1, 3, 5), set_texts=("t",) * 4, candidate_id=2, candidate_text="u"))
+        assert sim.ledger.max_query_texts == 5
+        sim.query_ml_group(ml_query([4, 5]))
+        assert sim.ledger.max_query_texts == 5
+        remote = RemoteOracle(model="m", send=lambda p: "NONE", backoff=0)
+        remote.query_cl_membership(CLMembershipQuery(
+            set_ids=(0, 1), set_texts=("t", "t"), candidate_id=2, candidate_text="u"))
+        assert remote.ledger.max_query_texts == 3
+        with pytest.raises(OracleBackendError):
+            remote.query_ml_group(ml_query(list(range(9))))
+        assert remote.ledger.max_query_texts == 3
+
 
 edge_lists = st.integers(1, 30).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)))
