@@ -14,11 +14,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse import csr_array
 
-from setclust.constraints import ConstraintCollection, MLSet
+from setclust.constraints import ConstraintCollection, MLSet, connected_groups
 from setclust.dataset import EmbeddedDataset
 from setclust.geometry import PointFrame, nearest_center, point_frame, sq_dist
-from setclust.matching import min_cost_matching, without_each_row
-from setclust.oracle import DisjointSets
+from setclust.matching import min_cost_matching
 
 
 class InvariantError(AssertionError):
@@ -196,11 +195,8 @@ def _merge_hard_sets(ml_sets: list[MLSet]) -> Blocks:
     hard = [s.members for s in ml_sets if s.hard]
     points = sorted({m for members in hard for m in members})
     index = {p: i for i, p in enumerate(points)}
-    sets = DisjointSets(len(points))
-    for members in hard:
-        for m in members[1:]:
-            sets.union(index[members[0]], index[m])
-    return _flatten([[points[i] for i in g] for g in sets.groups()])
+    pairs = [(index[members[0]], index[m]) for members in hard for m in members[1:]]
+    return _flatten([[points[i] for i in g] for g in connected_groups(len(points), pairs)])
 
 
 def _soft_members(ml_sets: list[MLSet], claimed: set[int]) -> Blocks:
@@ -403,8 +399,8 @@ def cl_local_search(elements: tuple[np.ndarray, np.ndarray], cl_element_sets: li
     carries. The argmax element is released to its nearest center until the
     gain no longer beats the penalty, then M is committed. Matching costs and
     num_y are both scaled by element weight, so w_cl stays a per-point
-    penalty when an element is a multi-point block. A round solves one
-    matching, M; ``without_each_row`` reads every M' off it.
+    penalty when an element is a multi-point block. A round solves M and
+    then one M' per element, each by its own ``min_cost_matching``.
     """
     centroids, weights = elements
     assignment: dict[int, int] = {}
@@ -420,7 +416,8 @@ def cl_local_search(elements: tuple[np.ndarray, np.ndarray], cl_element_sets: li
             nearest_cols = np.argmin(costs, axis=1)
             gains = np.empty(len(Y))
             nums = np.empty(len(Y))
-            for pos, sub in enumerate(without_each_row(costs, matching)):
+            for pos in range(len(Y)):
+                sub = min_cost_matching(np.delete(costs, pos, axis=0))
                 rest = [q for q in range(len(Y)) if q != pos]
                 changed = sum(
                     w[q] for out_pos, q in enumerate(rest)
@@ -433,8 +430,10 @@ def cl_local_search(elements: tuple[np.ndarray, np.ndarray], cl_element_sets: li
                     gain_trace.append(g)
                 gains[pos] = max(g, 0.0)
                 nums[pos] = w[pos] + changed
-            # gains within the matching's tie tolerance are equal (two elements
-            # competing for one center tie exactly); the lowest index wins
+            # two elements competing for one center tie exactly, but their
+            # gains are differences of sums rounded in different orders, so
+            # gains within 1e-9 relative of the round's cost count as equal;
+            # the lowest index wins
             tie = 1e-9 * (1.0 + abs(matching.total_cost))
             star = int(np.flatnonzero(gains >= gains.max() - tie)[0])
             if gains[star] < nums[star] * w_cl:

@@ -10,11 +10,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from setclust.dataset import EmbeddedDataset
 from setclust.geometry import (KERNEL_BLOCK, GridPartition, farther_than, point_dist, point_frame,
                                sq_dist)
-from setclust.oracle import CLMembershipQuery, DisjointSets, MLGroupQuery, consistency_repeat
+from setclust.oracle import CLMembershipQuery, MLGroupQuery, consistency_repeat
 
 ALPHA_PAIR = 5
 ALPHA_SET = 10
@@ -207,6 +209,17 @@ def _cut_segments(points: np.ndarray, order: list[int], tau: float):
     return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def connected_groups(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the undirected graph on 0..n-1 with edges
+    ``pairs``: members ascending, groups ordered by smallest member, which is
+    the order in which ``connected_components`` labels them."""
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = coo_array((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return [g.tolist() for g in np.split(order, np.cumsum(np.bincount(labels)))[:-1]]
+
+
 def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
                         cost_kc: float,
                         extra_points: list[int] | None = None,
@@ -246,7 +259,7 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
             break
         reps = [min(members_of(s)) for s in current]
         rep_to_set = {rep: i for i, rep in enumerate(reps)}
-        sets = DisjointSets(len(current))
+        pairs: list[tuple[int, int]] = []
 
         def ask(ids: tuple[int, ...], repeats: int):
             query = MLGroupQuery(ids=ids, texts=tuple(data.text(i) for i in ids))
@@ -262,8 +275,8 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
 
         def merge(ids: tuple[int, ...], groups) -> None:
             for group in groups:
-                for pos in group[1:]:
-                    sets.union(rep_to_set[ids[group[0]]], rep_to_set[ids[pos]])
+                pairs.extend((rep_to_set[ids[group[0]]], rep_to_set[ids[pos]])
+                             for pos in group[1:])
 
         segments = _cut_segments(data.points, _locality_order(data.points, reps),
                                  tau)
@@ -281,7 +294,7 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
             groups = ask(bridge, repeats=ALPHA_MERGE)
             if groups is not None:
                 merge(bridge, groups)
-        merged = sets.groups()
+        merged = connected_groups(len(current), pairs)
         if len(merged) == len(current):
             break
         rebuilt = []

@@ -1,8 +1,7 @@
 """Same-topic decision sources: a label-driven simulated oracle and a remote
 chat-completion backend. Both share the query ledger used for the
-query-efficiency accounting. The union-find here closes must-link verdicts
-transitively for the constraint and clustering layers; the simulated oracle
-closes its pairwise verdicts with a component search.
+query-efficiency accounting. The simulated oracle closes its pairwise
+verdicts transitively with a component search.
 """
 
 from __future__ import annotations
@@ -113,36 +112,6 @@ class QueryLedger:
     @property
     def total(self) -> int:
         return self.ml_queries + self.cl_queries + self.consistency_queries
-
-
-class DisjointSets:
-    """Union-find over 0..n-1. A union keeps the lower root, so every set is
-    named by its smallest member."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        """Join the sets of ``a`` and ``b``; False if they already were one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-    def groups(self) -> list[list[int]]:
-        """Members of each set ascending, sets ordered by smallest member."""
-        groups: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self.find(i), []).append(i)
-        return list(groups.values())
 
 
 def _groups_from_pairs(m: int, same) -> tuple[tuple[int, ...], ...]:

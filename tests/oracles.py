@@ -112,19 +112,6 @@ def matching_brute_force(costs: np.ndarray) -> float:
     return best
 
 
-def matching_brute_force_lex(costs: np.ndarray) -> tuple[int, ...]:
-    """Lexicographically smallest optimal injective assignment vector."""
-    rows, cols = costs.shape
-    best_cost = matching_brute_force(costs)
-    best_vec = None
-    for perm in itertools.permutations(range(cols), rows):
-        total = sum(costs[r, c] for r, c in enumerate(perm))
-        if total <= best_cost + 1e-9 * (1.0 + abs(best_cost)):
-            if best_vec is None or perm < best_vec:
-                best_vec = perm
-    return best_vec
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -496,9 +483,9 @@ def partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarr
 
 
 def cl_local_search_loop(elements, cl_element_sets, centers, w_cl, gain_trace=None):
-    """CL local search that solves one full matching per release candidate:
-    the reference for ``cl_local_search``, which reads every remove-one
-    matching off the round's matching."""
+    """CL local search written out plainly, with broadcast costs and one full
+    matching of the other rows per release candidate: the reference for
+    ``cl_local_search``."""
     from setclust.clustering import _GAIN_TOL, InvariantError
     from setclust.matching import Matching, min_cost_matching
 

@@ -19,10 +19,11 @@ from oracles import (
     partition_soft_set,
     seed_compact_exact,
 )
-from setclust import clustering, matching
+from setclust import clustering
 from setclust.clustering import (
     Convergence,
     Penalties,
+    _GAIN_TOL,
     _assign,
     _flatten,
     _merge_hard_sets,
@@ -391,20 +392,60 @@ class TestCLLocalSearch:
             assert got == want
             assert got_trace == want_trace
 
-    def test_tie_free_round_makes_one_matching(self, rng, monkeypatch):
+    def test_round_makes_one_matching_per_element(self, rng, monkeypatch):
         calls = []
 
         def counting(costs):
             calls.append(costs.shape)
             return min_cost_matching(costs)
 
-        # fallbacks inside ``without_each_row`` would call the matching module's
         monkeypatch.setattr(clustering, "min_cost_matching", counting)
-        monkeypatch.setattr(matching, "min_cost_matching", counting)
         got = cl_local_search(singleton_elements(rng.normal(size=(20, 4))), [list(range(20))],
                               rng.normal(size=(30, 4)), 1e12)
-        assert calls == [(20, 30)]
+        # one round that commits: M, then M' without each of the 20 elements
+        assert calls == [(20, 30)] + [(19, 30)] * 20
         assert len(set(got.values())) == 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_property_release_gains_nonnegative(self, data):
+        # integer grids and centers stacked on a few sites tie matchings and
+        # gains everywhere; ties go to whichever optimum the solver returns
+        n = data.draw(st.integers(2, 7))
+        k = data.draw(st.integers(n, n + 3))
+        dim = data.draw(st.integers(1, 2))
+        offset = data.draw(st.sampled_from([0.0, 1e3, 1e6]))
+        grid = st.lists(st.integers(0, 4), min_size=dim, max_size=dim)
+        coords = np.array(data.draw(st.lists(grid, min_size=n, max_size=n)), float) + offset
+        sites = np.array(data.draw(st.lists(grid, min_size=1, max_size=3)), float) + offset
+        centers = sites[data.draw(st.lists(st.integers(0, len(sites) - 1),
+                                           min_size=k, max_size=k))]
+        weights = np.array(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+        order = data.draw(st.permutations(range(n)))
+        cut = data.draw(st.integers(1, n - 1))
+        sets = [order[:cut], order[cut:]]
+        w_cl = data.draw(st.sampled_from([0.0, 1.0, 1e12]))
+        floors: list[float] = []  # per traced gain, the floor its round's M allows
+        pending = 0
+
+        def recording(costs):
+            nonlocal pending
+            m = min_cost_matching(costs)
+            if pending:
+                pending -= 1
+            else:  # a round's M; one M' per element follows
+                pending = costs.shape[0]
+                floors.extend([-_GAIN_TOL * (1.0 + abs(m.total_cost))] * pending)
+            return m
+
+        trace: list[float] = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "min_cost_matching", recording)
+            got = cl_local_search((coords, weights), sets, centers, w_cl, trace)
+        assert len(trace) == len(floors)
+        assert all(g >= floor for g, floor in zip(trace, floors))
+        if w_cl == 1e12:
+            assert all(len({got[e] for e in s}) == len(s) for s in sets)
 
 
 def blocks(groups) -> list[tuple[int, ...]]:
@@ -426,6 +467,13 @@ class TestMlPenaltyCluster:
         start = seed_and_group(data, ml, Penalties(1.0, 1.0), k=1, seed=0)
         assert blocks(start.groups)[0] == (0, 1, 2)
         assert start.groups.weights[0] == 3
+
+    def test_merged_hard_blocks_ordered_by_smallest_member(self):
+        ml = [MLSet(members=(5, 7), hard=True), MLSet(members=(2, 9), hard=True),
+              MLSet(members=(0, 4)), MLSet(members=(3, 7), hard=True)]
+        members, offsets = _merge_hard_sets(ml)
+        assert members.tolist() == [2, 9, 3, 5, 7]
+        assert offsets.tolist() == [0, 2, 5]
 
 
 class TestFullPipeline:

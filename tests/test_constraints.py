@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import hard_points, make_dataset
 from oracles import (
+    components_bfs,
     cut_segments_loop,
     dedup_ml_sets_loop,
     generate_cl_sets_loop,
@@ -21,6 +22,7 @@ from setclust.constraints import (
     ThresholdResult,
     classify_hard_soft,
     compute_hard_thresholds,
+    connected_groups,
     consolidate_ml_sets,
     dedup_ml_sets,
     generate_cl_sets,
@@ -404,6 +406,28 @@ class TestGenerateCLSets:
                                                 seed=0))
         cost_kc = geometry.gonzalez_kcenter(data, 30, 1).cost
         self._same_as_loop(data, cost_kc, k=30, seed=1, max_sets=30)
+
+
+def _edge_list(n: int):
+    node = st.integers(0, max(n - 1, 0))
+    return st.tuples(st.just(n), st.lists(st.tuples(node, node), max_size=60 if n else 0))
+
+
+edge_lists = st.integers(0, 30).flatmap(_edge_list)
+
+
+class TestConnectedGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists)
+    @example((0, []))  # no points: ``_merge_hard_sets`` with no hard sets
+    @example((5, []))
+    @example((5, [(2, 2), (4, 1), (1, 4), (4, 1), (3, 3)]))  # self-loops, repeats
+    def test_matches_breadth_first_search(self, case):
+        n, edges = case
+        assert connected_groups(n, edges) == components_bfs(n, edges)
+
+    def test_groups_ordered_by_smallest_member(self):
+        assert connected_groups(5, [(4, 3), (3, 1)]) == [[0], [1, 3, 4], [2]]
 
 
 class TestConsolidateMLSets:

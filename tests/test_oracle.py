@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from oracles import components_bfs, sim_oracle_groups_reference
 from setclust.oracle import (
     CLMembershipQuery,
-    DisjointSets,
     MLGroupQuery,
     OracleBackendError,
     QueryLedger,
@@ -392,42 +391,6 @@ class TestLedger:
         assert remote.ledger.max_query_texts == 3
 
 
-edge_lists = st.integers(1, 30).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)))
-
-
-class TestDisjointSets:
-    @settings(max_examples=300, deadline=None)
-    @given(edge_lists)
-    def test_matches_breadth_first_search(self, case):
-        n, edges = case
-        sets = DisjointSets(n)
-        count = n
-        for a, b in edges:
-            joined = sets.union(a, b)
-            now = len(sets.groups())
-            assert joined == (now < count)
-            count = now
-        assert sets.groups() == components_bfs(n, edges)
-
-    def test_roots_are_smallest_members(self):
-        sets = DisjointSets(5)
-        sets.union(4, 3)
-        sets.union(3, 1)
-        assert [sets.find(i) for i in range(5)] == [0, 1, 2, 1, 1]
-        assert sets.groups() == [[0], [1, 3, 4], [2]]
-
-    def test_pairs_inside_a_component_are_not_asked(self):
-        asked = []
-
-        def same(i, j):
-            asked.append((i, j))
-            return True
-
-        assert _groups_from_pairs(4, same) == ((0, 1, 2, 3),)
-        assert asked == [(0, 1), (0, 2), (0, 3)]
-
-
 verdict_tables = st.integers(1, 40).flatmap(lambda m: st.tuples(
     st.just(m), st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
                         max_size=80)))
@@ -449,6 +412,16 @@ class TestGroupsFromPairs:
         assert [list(g) for g in groups] == components_bfs(m, edges)
         assert all(i < j for i, j in asked)
         assert len(set(asked)) == len(asked)
+
+    def test_pairs_inside_a_component_are_not_asked(self):
+        asked = []
+
+        def same(i, j):
+            asked.append((i, j))
+            return True
+
+        assert _groups_from_pairs(4, same) == ((0, 1, 2, 3),)
+        assert asked == [(0, 1), (0, 2), (0, 3)]
 
     def test_one_topic_query_asks_one_pair_per_joining_text(self):
         m = 800
