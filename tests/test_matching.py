@@ -125,3 +125,39 @@ class TestMinCostMatching:
     def test_empty_matrix(self):
         assert min_cost_matching(np.zeros((0, 3))) == matching.Matching(assignment=(),
                                                                          total_cost=0.0)
+
+
+class TestWithoutEachRow:
+    """The remove-one matchings that a CL round solves: for each row r,
+    ``min_cost_matching`` on the matrix without r."""
+
+    @pytest.mark.parametrize("kind", ["weighted", "offset"])
+    def test_random_matches_matching_without_the_row(self, kind):
+        # weighted squared distances, as the CL search makes them, and a 1e6
+        # offset, where every sum rounds. Each remove-one matching is checked
+        # against the same problem posed with row r kept and parked on a
+        # column only it can take for free, and against brute force when small
+        rng = np.random.default_rng(["weighted", "offset"].index(kind))
+        for _ in range(200):
+            rows = int(rng.integers(1, 13))
+            cols = int(rng.integers(rows, rows + 5))
+            if kind == "weighted":
+                points, centers = rng.normal(size=(rows, 3)), rng.normal(size=(cols, 3))
+                costs = ((points[:, None] - centers[None]) ** 2).sum(axis=2)
+                costs *= rng.integers(1, 5, rows)[:, None]
+            else:
+                costs = 1e6 + rng.random((rows, cols))
+            for r in range(rows):
+                reduced = np.delete(costs, r, axis=0)
+                sub = min_cost_matching(reduced)
+                tol = 1e-12 * (1.0 + abs(sub.total_cost))
+                assert len(set(sub.assignment)) == rows - 1
+                assert sub.total_cost == float(
+                    sum(reduced[q, c] for q, c in enumerate(sub.assignment)))
+                parked = np.full((rows, 1), 2.0 * costs.sum() + 1.0)
+                parked[r, 0] = 0.0
+                kept = min_cost_matching(np.hstack([costs, parked]))
+                assert kept.assignment[r] == cols
+                assert abs(kept.total_cost - sub.total_cost) <= tol
+                if rows <= 5:
+                    assert abs(sub.total_cost - matching_brute_force(reduced)) <= tol
