@@ -342,15 +342,13 @@ def build_groups(points: np.ndarray, hard: Blocks, soft: Blocks, centers: np.nda
 @dataclass
 class Start:
     """Seeded centers and their grouping, where the constrained loop starts,
-    plus the ML blocks every later grouping reuses and the points' frame
-    every assignment reads."""
+    plus the ML blocks every later grouping reuses."""
 
     hard: Blocks
     soft: Blocks
     centers: np.ndarray
     degenerate: bool
     groups: Groups
-    frame: PointFrame
 
 
 def seed_and_group(data: EmbeddedDataset, ml_sets: list[MLSet], penalties: Penalties,
@@ -359,11 +357,9 @@ def seed_and_group(data: EmbeddedDataset, ml_sets: list[MLSet], penalties: Penal
     against them: the start of ``lsck_hc`` and ``lsck``."""
     hard = _merge_hard_sets(ml_sets)
     soft = _soft_members(ml_sets, set(hard[0].tolist()))
-    frame = point_frame(data.points)
-    centers, degenerate = _seed(frame, hard, k, seed)
+    centers, degenerate = _seed(data.frame, hard, k, seed)
     groups = build_groups(data.points, hard, soft, centers, penalties.w_ml)
-    return Start(hard=hard, soft=soft, centers=centers, degenerate=degenerate, groups=groups,
-                 frame=frame)
+    return Start(hard=hard, soft=soft, centers=centers, degenerate=degenerate, groups=groups)
 
 
 def _seed(frame: PointFrame, hard: Blocks, k: int, seed: int) -> tuple[np.ndarray, bool]:
@@ -490,10 +486,14 @@ def _assign(frame: PointFrame, groups: Groups, cl_sets, centers: np.ndarray, pen
 def _update_centers(X: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Mean of each center's points, summed in point order; a center with
     no points keeps its place."""
-    counts = np.bincount(labels, minlength=centers.shape[0])
+    k = centers.shape[0]
+    counts = np.bincount(labels, minlength=k)
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    sums = _segment_sums(X, np.argsort(labels, kind="stable"), offsets)
+    # the same permutation as sorting the labels themselves; numpy radix-sorts
+    # integers of 16 bits or less
+    order = np.argsort(labels.astype(np.min_scalar_type(k)), kind="stable")
+    sums = _segment_sums(X, order, offsets)
     new = centers.copy()
     filled = counts > 0
     new[filled] = sums[filled] / counts[filled, None]
@@ -536,6 +536,9 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
         # the baseline runs on the same data, so it reuses the resolved tol
         pen = resolve_penalties(data, k, seed, Convergence(tol=tol, max_iters=conv.max_iters))
     X = data.points
+    frame = data.frame
+    # the frame serves every run on the data: this run counts from here
+    redecided = frame.redecided
 
     ml_sets = collection.ml_sets
     if not use_hard:
@@ -547,7 +550,7 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
     iterations = 0
     converged = False
     for _ in range(conv.max_iters):
-        labels = _assign(start.frame, groups, collection.cl_sets, centers, pen, gain_trace)
+        labels = _assign(frame, groups, collection.cl_sets, centers, pen, gain_trace)
         new_centers = _update_centers(X, labels, centers)
         displacement = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
@@ -558,7 +561,7 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
             break
     # final assignment against the final centers, so the reported labels and
     # centers are mutually consistent
-    labels = _assign(start.frame, groups, collection.cl_sets, centers, pen, gain_trace)
+    labels = _assign(frame, groups, collection.cl_sets, centers, pen, gain_trace)
     return ClusteringResult(
         labels=labels,
         centers=centers,
@@ -568,7 +571,7 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
         degenerate_seeding=start.degenerate,
         penalties=pen,
         min_gain_seen=float(min(gain_trace)) if gain_trace else np.inf,
-        redecided=start.frame.redecided,
+        redecided=frame.redecided - redecided,
     )
 
 

@@ -118,28 +118,43 @@ def _chunks(seq: list[int], size: int):
         yield seq[i:i + size]
 
 
-def _locality_order(points: np.ndarray, cell: list[int]) -> list[int]:
+def _locality_order(points: np.ndarray, cell: list[int]) -> tuple[list[int], np.ndarray | None]:
     """Greedy nearest-neighbor chain so chunk boundaries respect locality.
 
     Starts from the lowest index and always appends the unvisited member
     closest to the last one (ties to the lowest index), keeping mutually
     close points inside the same chunk when a large cell is split.
 
-    Each step is the vector reading of the cell's own ``PointFrame``
-    against the last point, with visited rows at +inf. Only rows within the
-    reading's margin of the smallest can be the exact nearest; when there
-    are several, ``point_dist`` re-decides among them, so the chain is the
-    one exact differences give.
+    A cell of fewer than ``DIAMETER_GRAM_MIN`` points takes one matrix of
+    exact distances, the roots of ``sq_dist`` of the cell to itself (members
+    ascending), and each step is the first ``argmin`` of the last point's
+    row with visited columns at +inf. Roots, because two squared sums one
+    ulp apart can share a root, and then the lower index must win. That
+    matrix is returned with the chain, so a subset's diameter is the
+    largest entry over its members, with the bits of ``set_diameter``.
+
+    A larger cell returns None for the matrix. Each step is the vector
+    reading of the cell's own ``PointFrame`` against the last point, with
+    visited rows at +inf. Only rows within the reading's margin of the
+    smallest can be the exact nearest; when there are several,
+    ``point_dist`` re-decides among them, so the chain is the one exact
+    differences give.
     """
     ids = sorted(cell)
-    if len(ids) <= 2:
-        return ids
     sub = points[ids]
+    order = [0]
+    if len(ids) < DIAMETER_GRAM_MIN:
+        dist = np.sqrt(sq_dist(sub, sub))
+        unvisited = dist.copy()
+        unvisited[:, 0] = np.inf
+        for _ in range(len(ids) - 1):
+            order.append(int(unvisited[order[-1]].argmin()))
+            unvisited[:, order[-1]] = np.inf
+        return [ids[pos] for pos in order], dist
     frame = point_frame(sub)
     reading = np.empty(len(ids))
-    last = 0
-    order = [0]
     for _ in range(len(ids) - 1):
+        last = order[-1]
         # the frame is the chain's own, so a visited row's norm turns +inf
         frame.norms[last] = np.inf
         margin = frame.read_into(sub[last], reading)
@@ -149,9 +164,8 @@ def _locality_order(points: np.ndarray, cell: list[int]) -> list[int]:
             near = np.flatnonzero(reading <= bound)
             rows = sub[near]
             nearest = int(near[np.argmin(point_dist(rows, sub[last], rows))])
-        last = nearest
-        order.append(last)
-    return [ids[pos] for pos in order]
+        order.append(nearest)
+    return [ids[pos] for pos in order], None
 
 
 def generate_ml_sets(data: EmbeddedDataset, oracle, grid: GridPartition,
@@ -162,7 +176,9 @@ def generate_ml_sets(data: EmbeddedDataset, oracle, grid: GridPartition,
     single point are skipped, since a one-text query carries no information.
     Each resulting set records the grid level that produced it; the
     constraint file keeps it, and the threshold search groups candidate
-    diameters by arity only.
+    diameters by arity only. A set's diameter is read off the exact distance
+    matrix of its cell when ``_locality_order`` took one, and is
+    ``set_diameter`` otherwise; both have the same bits.
     """
     if m_max < 2:
         raise ValueError("m_max >= 2 required")
@@ -170,7 +186,9 @@ def generate_ml_sets(data: EmbeddedDataset, oracle, grid: GridPartition,
     for (level, _leader), cell in sorted(grid.cells.items()):
         if len(cell) < 2:
             continue
-        for chunk in _chunks(_locality_order(data.points, cell), m_max):
+        order, dist = _locality_order(data.points, cell)
+        ids = np.sort(cell)
+        for chunk in _chunks(order, m_max):
             if len(chunk) < 2:
                 continue
             query = MLGroupQuery(ids=tuple(chunk),
@@ -180,8 +198,12 @@ def generate_ml_sets(data: EmbeddedDataset, oracle, grid: GridPartition,
                 if len(group) < 2:
                     continue
                 members = tuple(sorted(chunk[pos] for pos in group))
-                ml_sets.append(MLSet(members=members, hard=False,
-                                     diameter=set_diameter(data.points, members),
+                if dist is None:
+                    diameter = set_diameter(data.points, members)
+                else:
+                    at = np.searchsorted(ids, members)
+                    diameter = float(dist[np.ix_(at, at)].max())
+                ml_sets.append(MLSet(members=members, hard=False, diameter=diameter,
                                      level=level))
     return dedup_ml_sets(ml_sets)
 
@@ -278,8 +300,7 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
                 pairs.extend((rep_to_set[ids[group[0]]], rep_to_set[ids[pos]])
                              for pos in group[1:])
 
-        segments = _cut_segments(data.points, _locality_order(data.points, reps),
-                                 tau)
+        segments = _cut_segments(data.points, _locality_order(data.points, reps)[0], tau)
         for segment in segments:
             start = 0
             while start < len(segment) - 1:
@@ -407,12 +428,12 @@ def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int,
     counts as covered so generation terminates). ``max_sets`` caps the number
     of kept sets (None grows sets until every point is covered). Returns the
     kept sets and the number of rejected membership probes. The gate is
-    ``farther_than``: one reading of the points' frame per member.
+    ``farther_than``: one reading of the dataset's frame per member.
     """
     if k < 2:
         raise ValueError("k >= 2 required")
     rng = np.random.default_rng(seed)
-    frame = point_frame(data.points)
+    frame = data.frame
     reading = np.empty(data.n)
     uncovered = np.ones(data.n, dtype=bool)
     cl_sets: list[CLSet] = []

@@ -12,8 +12,12 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from setclust.geometry import PointFrame
 
 EMB_MAGIC = b"EMB1"
 
@@ -54,6 +58,7 @@ class EmbeddedDataset:
 
     points: np.ndarray
     records: list[TextRecord] = field(repr=False)
+    _frame: PointFrame | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -84,6 +89,17 @@ class EmbeddedDataset:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @property
+    def frame(self) -> PointFrame:
+        """The points' one ``PointFrame``, taken on first use and again only
+        after ``points`` is reassigned (a change made in place is not seen).
+        Every layer reads it; none writes its points, mean or norms."""
+        if self._frame is None or self._frame.points is not self.points:
+            # imported on first use, so that writing a dataset does not load it
+            from setclust import geometry
+            self._frame = geometry.point_frame(self.points)
+        return self._frame
 
     @property
     def has_labels(self) -> bool:

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from setclust.dataset import EmbeddedDataset
+if TYPE_CHECKING:
+    from setclust.dataset import EmbeddedDataset
 
 
 @dataclass
@@ -77,7 +79,9 @@ class PointFrame:
     points: np.ndarray
     mean: np.ndarray
     norms: np.ndarray
-    # rows ``nearest_center`` re-decided by exact differences
+    # rows ``nearest_center`` re-decided by exact differences, over the
+    # frame's life: a dataset's frame serves every run on it, so a run's own
+    # count is the difference across the run
     redecided: int = 0
 
     def __post_init__(self):
@@ -183,7 +187,7 @@ def gonzalez_kcenter(data: EmbeddedDataset, k: int, seed: int) -> KCenterResult:
     subsequent center is the point farthest from the current center set
     (plain Euclidean distance ``point_dist``, ties to the lowest index).
 
-    Each center costs one vector reading of the points' frame. Per point the
+    Each center costs one vector reading of the dataset's frame. Per point the
     smallest reading, its center and the second-smallest reading are kept.
     The farthest point is chosen by exact differences among the points whose
     smallest reading lies within the largest margin so far of the maximum;
@@ -196,7 +200,7 @@ def gonzalez_kcenter(data: EmbeddedDataset, k: int, seed: int) -> KCenterResult:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     X = data.points
-    frame = point_frame(X)
+    frame = data.frame
     first = int(np.random.default_rng(seed).integers(n))
     chosen = [first]
     reading = np.empty(n)

@@ -105,7 +105,7 @@ class TestLocalityOrder:
             # rounded coordinates give distance ties, broken to the lowest index
             points = np.round(rng.normal(size=(n + 5, d)) * 2)
             cell = rng.permutation(n + 5)[:n].tolist()
-            assert constraints._locality_order(points, cell) == locality_order_pop(points, cell)
+            assert constraints._locality_order(points, cell)[0] == locality_order_pop(points, cell)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.integers(1, 64),
@@ -114,7 +114,37 @@ class TestLocalityOrder:
         rng = np.random.default_rng(seed)
         points = layout_points(rng, n + 5, d, layout, offset)
         cell = rng.permutation(n + 5)[:n].tolist()
-        assert constraints._locality_order(points, cell) == locality_order_pop(points, cell)
+        assert constraints._locality_order(points, cell)[0] == locality_order_pop(points, cell)
+
+    @pytest.mark.parametrize("size", [3, 19, 20, 21])
+    def test_both_sides_of_the_matrix_split(self, size):
+        # below DIAMETER_GRAM_MIN the chain walks one exact distance matrix,
+        # from it on, the cell's frame; ties and one-ulp differences on both
+        rng = np.random.default_rng(size)
+        small = size < constraints.DIAMETER_GRAM_MIN
+        for layout in ("grid", "duplicates", "near-duplicates"):
+            for offset in (0.0, 1e3, 1e6):
+                for d in (1, 3, 16, 64):
+                    points = layout_points(rng, size + 5, d, layout, offset)
+                    cell = rng.permutation(size + 5)[:size].tolist()
+                    order, dist = constraints._locality_order(points, cell)
+                    assert order == locality_order_pop(points, cell)
+                    assert (dist is not None) == small
+                    if small:
+                        sub = points[sorted(cell)]
+                        assert np.array_equal(dist, np.sqrt(pdist_broadcast(sub, sub)))
+
+    @pytest.mark.parametrize("far", [0, 20])
+    def test_equal_roots_go_to_the_lower_index(self, far):
+        # point 1 is farther from point 0 than point 2 by two ulps of the
+        # squared distance, but both roots are 5.000000000000002: the chain
+        # compares roots, so the lower index comes first
+        points = np.array([[0.0, 0.0], [3.000000000000002, 4.000000000000001],
+                           [3.0, 4.000000000000002], *([[100.0, 100.0]] * far)])
+        squares = pdist_broadcast(points[:3], points[:3])[0]
+        assert squares[1] > squares[2] and np.sqrt(squares[1]) == np.sqrt(squares[2])
+        cell = list(range(len(points)))
+        assert constraints._locality_order(points, cell)[0][:3] == [0, 1, 2]
 
 
 class TestCutSegments:
@@ -168,6 +198,30 @@ class TestGenerateMLSets:
         grid = geometry.grid_partition(data, [0.0], kcr)
         generate_ml_sets(data, oracle, grid, m_max=5)
         assert oracle.ledger.ml_queries == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 64),
+           layout=st.sampled_from(LAYOUTS), offset=st.sampled_from([0.0, 1e3, 1e6]),
+           m_max=st.integers(2, 25), p=st.sampled_from([0.1, 0.3]))
+    def test_diameters_are_set_diameter(self, seed, d, layout, offset, m_max, p):
+        # cells on both sides of DIAMETER_GRAM_MIN, chunked when above m_max,
+        # and a noisy oracle, so that groups are proper subsets of chunks
+        rng = np.random.default_rng(seed)
+        sizes = [int(rng.integers(2, constraints.DIAMETER_GRAM_MIN)),
+                 int(rng.integers(constraints.DIAMETER_GRAM_MIN, 45)),
+                 *rng.integers(2, 45, size=3).tolist()]
+        points = layout_points(rng, sum(sizes), d, layout, offset)
+        data = make_dataset(points, labels=rng.integers(0, 3, size=len(points)))
+        perm = rng.permutation(len(points))
+        cells = {}
+        for lo, hi in zip(np.cumsum([0, *sizes[:-1]]), np.cumsum(sizes)):
+            cell = sorted(perm[lo:hi].tolist())
+            cells[(0, cell[0])] = cell
+        sets = generate_ml_sets(data, sim_oracle(data, p=p, seed=seed),
+                                geometry.GridPartition([0.0], cells), m_max=m_max)
+        assert sets
+        for s in sets:
+            assert s.diameter == set_diameter(points, s.members)
 
     def test_m_max_too_small(self):
         data = make_dataset(np.zeros((3, 1)), labels=[0] * 3)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from setclust import clustering, harness
+from setclust import clustering, geometry, harness
 from setclust.constraints import (
     CLSet,
     ConstraintCollection,
@@ -20,7 +21,7 @@ from setclust.constraints import (
     load_constraints,
     save_constraints,
 )
-from setclust.dataset import SyntheticSpec, generate_synthetic
+from setclust.dataset import EmbeddedDataset, SyntheticSpec, generate_synthetic
 from setclust.harness import ExperimentConfig
 from setclust.oracle import RemoteOracle, SimulatedOracle
 
@@ -296,6 +297,89 @@ class TestAutoPenaltiesPerSeed:
         for path in written:
             assert path.read_bytes() == (tmp_path / "one_at_a_time" / path.name).read_bytes()
             assert json.loads(path.read_text())["config"]["penalties"] == "auto"
+
+
+def grid_data(points=None) -> EmbeddedDataset:
+    """A doubled 5x5 integer grid, labelled by quadrant: nearest-center ties
+    abound, so runs on it re-decide rows (``redecided > 0``)."""
+    if points is None:
+        grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+        points = np.vstack([grid, grid])
+    labels = (points[:, 0] >= 2) * 2 + (points[:, 1] >= 2)
+    return make_dataset(points, labels=labels)
+
+
+class TestSharedFrame:
+    """One ``PointFrame`` per dataset serves every run on it."""
+
+    CONFIG = dict(k=4, ratios=[0.0, 0.5], seeds=[0, 1])
+
+    def sweep(self, data, out):
+        oracle = harness.make_oracle(sim_config(**self.CONFIG), data)
+        pool = harness.generate_constraints(data, oracle, k=4, seed=0)
+        return harness.run_experiment(data, pool, sim_config(**self.CONFIG), out)
+
+    def test_sweeps_on_one_dataset_match_a_fresh_one(self, tmp_path):
+        shared = grid_data()
+        first = self.sweep(shared, tmp_path / "first")
+        second = self.sweep(shared, tmp_path / "second")
+        fresh = self.sweep(grid_data(), tmp_path / "fresh")
+        assert len(fresh) == 4
+        for a, b, want in zip(first, second, fresh):
+            assert a.read_bytes() == want.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("algorithm", ["lsck_hc", "lsck", "kmeans_baseline"])
+    def test_each_run_counts_its_own_redecided_rows(self, algorithm):
+        shared = grid_data()
+        pool = harness.generate_constraints(shared, harness.make_oracle(sim_config(), shared),
+                                            k=4, seed=0)
+        run = getattr(clustering, algorithm)
+        counts = []
+        for seed in (0, 2, 0):
+            if algorithm == "kmeans_baseline":
+                got, want = run(shared, 4, seed), run(grid_data(), 4, seed)
+            else:
+                got, want = run(shared, pool, None, 4, seed), run(grid_data(), pool, None, 4, seed)
+            assert got.redecided == want.redecided
+            counts.append(got.redecided)
+        assert min(counts) > 0
+        assert counts[0] == counts[2]
+
+    def test_reassigned_points_take_a_new_frame(self):
+        data = grid_data()
+        empty = ConstraintCollection()
+        clustering.lsck_hc(data, empty, None, 4, 0)  # takes the frame of the grid
+        data.points = data.points[:, ::-1] * 3.0 + 1e3
+        fresh = grid_data(data.points.copy())
+        for run in (lambda d: clustering.lsck_hc(d, empty, None, 4, 0),
+                    lambda d: clustering.kmeans_baseline(d, 4, 1)):
+            got, want = run(data), run(fresh)
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.centers, want.centers)
+            assert (got.objective, got.redecided) == (want.objective, want.redecided)
+        got, want = geometry.gonzalez_kcenter(data, 4, 0), geometry.gonzalez_kcenter(fresh, 4, 0)
+        assert (got.center_indices, got.cost) == (want.center_indices, want.cost)
+
+
+def test_one_frame_of_the_data_per_generation_and_sweep(tmp_path, monkeypatch):
+    # a host-independent work count: generation and a whole sweep take the
+    # mean and row norms of the data once (at 20000x64 a frame costs about 3 ms)
+    data = generate_synthetic(SyntheticSpec(k_true=3, n=300, dim=4, separation=8.0, seed=0))
+    real = geometry.point_frame
+    full = []
+
+    def counting(points):
+        full.append(points.shape[0] == data.n)
+        return real(points)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("setclust") and hasattr(module, "point_frame"):
+            monkeypatch.setattr(module, "point_frame", counting)
+    config = sim_config(ratios=[0.2], seeds=[0, 1, 2])
+    pool = harness.generate_constraints(data, harness.make_oracle(config, data), k=3, seed=0)
+    harness.run_experiment(data, pool, config, tmp_path)
+    assert sum(full) == 1
+    assert len(full) > 1  # the guard sees the private frames too
 
 
 class TestBaselineAlgorithm:
