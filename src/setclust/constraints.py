@@ -65,7 +65,6 @@ class ConstraintCollection:
     ml_sets: list[MLSet] = field(default_factory=list)
     cl_sets: list[CLSet] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-    shortfall: bool = False
 
 
 # sets of at least this many points take set_diameter's Gram form; below it
@@ -178,7 +177,9 @@ def generate_ml_sets(data: EmbeddedDataset, oracle, grid: GridPartition,
     constraint file keeps it, and the threshold search groups candidate
     diameters by arity only. A set's diameter is read off the exact distance
     matrix of its cell when ``_locality_order`` took one, and is
-    ``set_diameter`` otherwise; both have the same bits.
+    ``set_diameter`` otherwise; both have the same bits. The sets are
+    pairwise disjoint: the grid's cells partition the points, chunks
+    partition a cell and the oracle's groups partition a chunk.
     """
     if m_max < 2:
         raise ValueError("m_max >= 2 required")
@@ -205,7 +206,7 @@ def generate_ml_sets(data: EmbeddedDataset, oracle, grid: GridPartition,
                     diameter = float(dist[np.ix_(at, at)].max())
                 ml_sets.append(MLSet(members=members, hard=False, diameter=diameter,
                                      level=level))
-    return dedup_ml_sets(ml_sets)
+    return ml_sets
 
 
 ALPHA_MERGE = 3
@@ -243,116 +244,69 @@ def connected_groups(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
 
 
 def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
-                        cost_kc: float,
-                        extra_points: list[int] | None = None,
-                        m_max: int = DEFAULT_M_MAX) -> list[MLSet]:
+                        cost_kc: float, m_max: int = DEFAULT_M_MAX) -> list[MLSet]:
     """Merge ML sets whose representatives the oracle consistently groups.
 
-    Each round takes one representative per set (the lowest member index),
-    orders representatives by locality, and cuts the chain into segments at
-    distance jumps above ``0.8 * cost_kc``. A segment longer than ``m_max`` is
-    asked as a sequence of grouping queries that overlap by one text, so its
-    merges chain through the shared representative; each of these queries is
-    asked once. Pairs of chain-adjacent segments are bridged with two-text
-    queries repeated ``ALPHA_MERGE`` times, merging only on an identical
-    verdict every time. A segment is kept spatially tight on purpose: a query
-    containing two different multi-member topics would be glued into one
-    group by a single noisy pairwise verdict, and because any such verdict
-    produces the same glued partition, repetition cannot detect it. Tight
-    segments make the true partition of every multi-text query a single
-    group, and restrict cross-topic decisions to two-text bridges, where a
-    wrong verdict must repeat identically ``ALPHA_MERGE`` times to pass.
-    Rounds repeat until no merge happens, up to ``MAX_MERGE_ROUNDS`` — an
-    unbounded loop would keep re-rolling oracle noise until some spurious
-    merge eventually passed. ``extra_points`` (typically points not covered
-    by any candidate set) take part as one-point blocks; those still alone at
-    the end are dropped. The merged sets are soft; hard/soft classification
-    runs after.
+    The blocks are the input sets plus a one-point block for each point no
+    input set covers. Each round takes one representative per block (the
+    lowest member index), orders representatives by locality, and cuts the
+    chain into segments at distance jumps above ``0.8 * cost_kc``. A segment
+    longer than ``m_max`` is asked as a sequence of grouping queries that
+    overlap by one text, so its merges chain through the shared
+    representative; each of these queries is asked once. Pairs of
+    chain-adjacent segments are bridged with two-text queries repeated
+    ``ALPHA_MERGE`` times, merging only on an identical verdict every time.
+    A segment is kept spatially tight on purpose: a query containing two
+    different multi-member topics would be glued into one group by a single
+    noisy pairwise verdict, and because any such verdict produces the same
+    glued partition, repetition cannot detect it. Tight segments make the
+    true partition of every multi-text query a single group, and restrict
+    cross-topic decisions to two-text bridges, where a wrong verdict must
+    repeat identically ``ALPHA_MERGE`` times to pass. Rounds repeat until no
+    merge happens, up to ``MAX_MERGE_ROUNDS`` — an unbounded loop would keep
+    re-rolling oracle noise until some spurious merge eventually passed.
+    An input set no round merges comes back as the same object; a merged
+    block becomes a soft set, priced by one ``set_diameter`` call after the
+    last round; a one-point block still alone is dropped.
     """
-    current: list[MLSet | tuple[int, ...]] = list(ml_sets)
-    current += [(int(i),) for i in (extra_points or [])]
+    covered = {m for s in ml_sets for m in s.members}
+    blocks = [s.members for s in ml_sets] + [(i,) for i in range(data.n) if i not in covered]
+    # the input set each block still is, or None once it has merged
+    unmerged: list[MLSet | None] = list(ml_sets) + [None] * (len(blocks) - len(ml_sets))
     tau = 0.8 * cost_kc if cost_kc > 0 else float("inf")
-
-    def members_of(item) -> tuple[int, ...]:
-        return item if isinstance(item, tuple) else item.members
-
     for _round in range(MAX_MERGE_ROUNDS):
-        if len(current) < 2:
+        if len(blocks) < 2:
             break
-        reps = [min(members_of(s)) for s in current]
-        rep_to_set = {rep: i for i, rep in enumerate(reps)}
+        reps = [min(block) for block in blocks]
+        rep_to_block = {rep: i for i, rep in enumerate(reps)}
         pairs: list[tuple[int, int]] = []
 
-        def ask(ids: tuple[int, ...], repeats: int):
+        def ask(ids: tuple[int, ...], repeats: int) -> None:
+            """Link the blocks of each group the oracle gives ``repeats`` times alike."""
             query = MLGroupQuery(ids=ids, texts=tuple(data.text(i) for i in ids))
-            responses = [
-                oracle.query_ml_group(query, repeat=rep,
-                                      kind="ml" if rep == 0 else "consistency")
-                for rep in range(repeats)
-            ]
-            canon = responses[0].canonical()
-            if any(r.canonical() != canon for r in responses[1:]):
-                return None
-            return responses[0].groups
-
-        def merge(ids: tuple[int, ...], groups) -> None:
-            for group in groups:
-                pairs.extend((rep_to_set[ids[group[0]]], rep_to_set[ids[pos]])
-                             for pos in group[1:])
+            responses = [oracle.query_ml_group(query, repeat=rep,
+                                               kind="ml" if rep == 0 else "consistency")
+                         for rep in range(repeats)]
+            if len({r.canonical() for r in responses}) == 1:
+                for group in responses[0].groups:
+                    pairs.extend((rep_to_block[ids[group[0]]], rep_to_block[ids[pos]])
+                                 for pos in group[1:])
 
         segments = _cut_segments(data.points, _locality_order(data.points, reps)[0], tau)
         for segment in segments:
-            start = 0
-            while start < len(segment) - 1:
-                ids = tuple(segment[start:start + m_max])
-                groups = ask(ids, repeats=1)
-                if groups is not None:
-                    merge(ids, groups)
-                # overlap by one so merges chain through the shared text
-                start += m_max - 1
+            # overlap by one so merges chain through the shared text
+            for start in range(0, len(segment) - 1, m_max - 1):
+                ask(tuple(segment[start:start + m_max]), repeats=1)
         for left, right in zip(segments, segments[1:]):
-            bridge = (left[-1], right[0])
-            groups = ask(bridge, repeats=ALPHA_MERGE)
-            if groups is not None:
-                merge(bridge, groups)
-        merged = connected_groups(len(current), pairs)
-        if len(merged) == len(current):
+            ask((left[-1], right[0]), repeats=ALPHA_MERGE)
+        merged = connected_groups(len(blocks), pairs)
+        if len(merged) == len(blocks):
             break
-        rebuilt = []
-        for group_sets in merged:
-            if len(group_sets) == 1:
-                rebuilt.append(current[group_sets[0]])
-                continue
-            members = tuple(sorted({m for i in group_sets for m in members_of(current[i])}))
-            rebuilt.append(MLSet(members=members, hard=False,
-                                 diameter=set_diameter(data.points, members),
-                                 level=None))
-        current = rebuilt
-    return dedup_ml_sets([s for s in current if not isinstance(s, tuple)])
-
-
-def dedup_ml_sets(ml_sets: list[MLSet]) -> list[MLSet]:
-    """Drop any ML set whose members are a subset of another's.
-
-    Of equal sets the first is kept. Set ``i`` is tested only against the
-    sets holding its first member, found in an index from member to sets:
-    any superset must hold that member.
-    """
-    keep: list[MLSet] = []
-    member_sets = [set(s.members) for s in ml_sets]
-    holders: dict[int, list[int]] = {}
-    for j, s in enumerate(ml_sets):
-        for member in s.members:
-            holders.setdefault(member, []).append(j)
-    for i, s in enumerate(ml_sets):
-        dominated = any(
-            j != i and member_sets[i] <= member_sets[j]
-            and (member_sets[i] != member_sets[j] or j < i)
-            for j in holders[s.members[0]]
-        )
-        if not dominated:
-            keep.append(s)
-    return keep
+        unmerged = [unmerged[group[0]] if len(group) == 1 else None for group in merged]
+        blocks = [tuple(sorted({m for i in group for m in blocks[i]})) for group in merged]
+    return [s if s is not None else MLSet(members=block,
+                                          diameter=set_diameter(data.points, block))
+            for s, block in zip(unmerged, blocks) if len(block) >= 2]
 
 
 def _probe_passes(data: EmbeddedDataset, oracle, candidate: MLSet, alpha: int) -> bool:
@@ -482,9 +436,9 @@ def mix_constraints(ml_sets: list[MLSet], cl_sets: list[CLSet], target_ratio: fl
     sharing a member with it one at a time, stopping as soon as the target
     is reached; once CL sets run out, tops up with random unused ML sets.
     The constrained-instance ratio is the fraction of distinct points
-    appearing in at least one selected constraint. If all constraints are
-    exhausted below the target, the collection is returned with
-    ``shortfall`` set.
+    appearing in at least one selected constraint; ``meta`` records the
+    target and the ratio achieved, which stays below the target when all
+    constraints run out first.
     """
     if not 0.0 <= target_ratio <= 1.0:
         raise ValueError("target_ratio must lie in [0, 1]")
@@ -517,7 +471,6 @@ def mix_constraints(ml_sets: list[MLSet], cl_sets: list[CLSet], target_ratio: fl
         ml_sets=chosen_ml,
         cl_sets=chosen_cl,
         meta={"target_ratio": target_ratio, "achieved_ratio": ratio()},
-        shortfall=ratio() < target_ratio,
     )
 
 

@@ -111,12 +111,8 @@ def generate_constraints(data: EmbeddedDataset, oracle, k: int, seed: int,
     levels = geometry.grid_levels(kcr.cost, data.n, data.dim)
     grid = geometry.grid_partition(data, levels, kcr)
     ml_candidates = constraints.generate_ml_sets(data, oracle, grid, m_max=m_max)
-    covered = {m for s in ml_candidates for m in s.members}
-    uncovered = sorted(set(range(data.n)) - covered)
     ml_candidates = constraints.consolidate_ml_sets(data, oracle, ml_candidates,
-                                                    kcr.cost,
-                                                    extra_points=uncovered,
-                                                    m_max=m_max)
+                                                    kcr.cost, m_max=m_max)
     thresholds = constraints.compute_hard_thresholds(data, oracle, ml_candidates)
     ml_sets = constraints.classify_hard_soft(ml_candidates, thresholds)
     cl_sets, rejections = constraints.generate_cl_sets(data, oracle, kcr.cost, k, seed,

@@ -270,22 +270,6 @@ def generate_cl_sets_loop(data, oracle, cost_kc, k, seed, max_sets=None):
     return cl_sets, rejections
 
 
-def dedup_ml_sets_loop(ml_sets):
-    """Drop every ML set whose members are a subset of another's, testing
-    each set against every other; of equal sets the first is kept."""
-    keep = []
-    member_sets = [set(s.members) for s in ml_sets]
-    for i, s in enumerate(ml_sets):
-        dominated = any(
-            j != i and member_sets[i] <= member_sets[j]
-            and (member_sets[i] != member_sets[j] or j < i)
-            for j in range(len(ml_sets))
-        )
-        if not dominated:
-            keep.append(s)
-    return keep
-
-
 # ---------------------------------------------------------------------------
 # transitive closure
 

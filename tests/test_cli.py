@@ -1,6 +1,7 @@
 """End-to-end CLI workflow: synth -> gen-constraints -> cluster -> evaluate -> report."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,31 @@ class TestDeterminism:
         assert cons_a.read_bytes() == cons_b.read_bytes()
         for path in res_a.glob("result_*.json"):
             assert path.read_bytes() == (res_b / path.name).read_bytes()
+
+
+# sha256 of the outputs of one small pipeline run. A change that alters
+# generated constraints or reports updates these digests and says so in its
+# change notes.
+GOLDEN = {
+    "constraints.json": "3c3e5047caaaccc66debd8ba72f885ceb04800b5539fee1862dbbdb06f9fa560",
+    "report.csv": "ee91ead4fd4ebfdb215a2e2e92c1c8dee91f83f0f72b1379fea4ba375fcf1689",
+}
+
+
+def test_golden_outputs(tmp_path):
+    corpus, emb = str(tmp_path / "corpus.jsonl"), str(tmp_path / "emb.bin")
+    cons, results = str(tmp_path / "constraints.json"), str(tmp_path / "results")
+    assert main(["synth", "--k-true", "6", "--n", "600", "--dim", "8", "--seed", "0",
+                 "--out-corpus", corpus, "--out-embeddings", emb]) == 0
+    assert main(["gen-constraints", "--corpus", corpus, "--embeddings", emb, "--k", "6",
+                 "--seed", "0", "--error-rate", "0.1", "--out", cons]) == 0
+    assert main(["cluster", "--corpus", corpus, "--embeddings", emb, "--constraints", cons,
+                 "--k", "6", "--ratios", "0.3", "--seeds", "0,1", "--out-dir", results]) == 0
+    assert main(["evaluate", "--corpus", corpus, "--embeddings", emb,
+                 "--results", results]) == 0
+    assert main(["report", "--results", results, "--out", str(tmp_path / "report.csv")]) == 0
+    for name, digest in GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestTranscript:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from setclust import clustering, geometry, harness
+from setclust import clustering, constraints, geometry, harness
 from setclust.constraints import (
     CLSet,
     ConstraintCollection,
@@ -380,6 +380,35 @@ def test_one_frame_of_the_data_per_generation_and_sweep(tmp_path, monkeypatch):
     harness.run_experiment(data, pool, config, tmp_path)
     assert sum(full) == 1
     assert len(full) > 1  # the guard sees the private frames too
+
+
+def test_consolidation_prices_each_merged_set_once(monkeypatch):
+    # a host-independent work count: consolidation calls set_diameter once
+    # for each merged set it returns, and never for an input set it returns
+    # unchanged
+    data = generate_synthetic(SyntheticSpec(k_true=10, n=300, dim=4, separation=3.0, seed=1))
+    real_diameter, real_consolidate = constraints.set_diameter, constraints.consolidate_ml_sets
+    inside, priced, merged = [False], [], []
+
+    def diameter(points, members):
+        if inside[0]:
+            priced.append(tuple(members))
+        return real_diameter(points, members)
+
+    def consolidate(data, oracle, ml_sets, *args, **kwargs):
+        inside[0] = True
+        try:
+            out = real_consolidate(data, oracle, ml_sets, *args, **kwargs)
+        finally:
+            inside[0] = False
+        merged.extend(s.members for s in out if not any(s is t for t in ml_sets))
+        return out
+
+    monkeypatch.setattr(constraints, "set_diameter", diameter)
+    monkeypatch.setattr(constraints, "consolidate_ml_sets", consolidate)
+    harness.generate_constraints(data, harness.make_oracle(sim_config(), data), k=10, seed=0)
+    assert len(merged) == 10
+    assert priced == merged
 
 
 class TestBaselineAlgorithm:
