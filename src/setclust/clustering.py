@@ -41,17 +41,17 @@ class Convergence:
     """Outer-loop stopping rule.
 
     Stop once the max squared center displacement is at most ``tol``; None
-    selects 1e-4 times the squared bounding-box diagonal of the data.
+    selects 1e-4 times the squared bounding-box diagonal of the data, read
+    off the bounding box the data's frame takes once.
     """
 
     tol: float | None = None
     max_iters: int = 100
 
-    def resolve_tol(self, points: np.ndarray) -> float:
+    def resolve_tol(self, frame: PointFrame) -> float:
         if self.tol is not None:
             return self.tol
-        spread = points.max(axis=0) - points.min(axis=0)
-        return 1e-4 * float(spread @ spread)
+        return 1e-4 * float(frame.spread @ frame.spread)
 
 
 @dataclass
@@ -530,13 +530,13 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
     if not 1 <= k <= data.n:
         raise ValueError(f"k must be in [1, {data.n}]")
     conv = convergence if convergence is not None else Convergence()
-    tol = conv.resolve_tol(data.points)
+    X = data.points
+    frame = data.frame
+    tol = conv.resolve_tol(frame)
     pen = penalties
     if pen is None:
         # the baseline runs on the same data, so it reuses the resolved tol
         pen = resolve_penalties(data, k, seed, Convergence(tol=tol, max_iters=conv.max_iters))
-    X = data.points
-    frame = data.frame
     # the frame serves every run on the data: this run counts from here
     redecided = frame.redecided
 

@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from setclust.dataset import EmbeddedDataset
 from setclust.geometry import (KERNEL_BLOCK, GridPartition, farther_than, point_dist, point_frame,
                                sq_dist)
-from setclust.oracle import CLMembershipQuery, MLGroupQuery, consistency_repeat
+from setclust.oracle import MLGroupQuery, consistency_repeat
 
 ALPHA_PAIR = 5
 ALPHA_SET = 10
@@ -370,22 +370,33 @@ def classify_hard_soft(ml_sets: list[MLSet], thresholds: ThresholdResult) -> lis
     return out
 
 
-def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int,
-                     seed: int, max_sets: int | None = None) -> tuple[list[CLSet], int]:
-    """Grow CL sets from uncovered points gated by the k-center radius.
+def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int, seed: int,
+                     max_sets: int | None = None,
+                     m_max: int = DEFAULT_M_MAX) -> tuple[list[CLSet], int]:
+    """Grow CL sets from uncovered points gated by the k-center radius, one
+    grouping query per round.
 
-    A set starts from a random uncovered point; candidates are sampled
-    uniformly among uncovered points farther than ``cost_kc`` from every
-    current member, appended when the oracle reports no topic match, and
-    otherwise excluded from this set only. A set closes at size k or when no
-    eligible point remains; singleton sets are discarded (their seed still
-    counts as covered so generation terminates). ``max_sets`` caps the number
-    of kept sets (None grows sets until every point is covered). Returns the
-    kept sets and the number of rejected membership probes. The gate is
-    ``farther_than``: one reading of the dataset's frame per member.
+    A set starts from a random uncovered point; its pool is the uncovered
+    points farther than ``cost_kc`` from it. Each round draws fresh texts
+    uniformly from a working copy of the pool, gating the copy by every
+    draw, until the set and the draws reach ``min(k, m_max)`` texts or the
+    copy runs dry. One grouping query (ledger kind ``"cl"``) lists the
+    members in join order and then the draws; a draw joins when no earlier
+    position shares its group (the group's smallest position is its own).
+    When every draw joined, the pool is the gated copy; otherwise the draws
+    leave the pool, which is gated by the ones that joined only. The set
+    closes at ``min(k, m_max)`` members or when its pool is empty; a set of
+    one member is discarded (its seed still counts as covered so generation
+    terminates). ``max_sets`` caps the number of kept sets (None grows sets
+    until every point is covered). Returns the kept sets and the number of
+    draws that did not join. The gate is ``farther_than``: one reading of the
+    dataset's frame per gating point.
     """
     if k < 2:
         raise ValueError("k >= 2 required")
+    if m_max < 2:
+        raise ValueError("m_max >= 2 required")
+    size = min(k, m_max)
     rng = np.random.default_rng(seed)
     frame = data.frame
     reading = np.empty(data.n)
@@ -399,29 +410,35 @@ def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int,
     while uncovered.any():
         if max_sets is not None and len(cl_sets) >= max_sets:
             break
-        # ascending uncovered points not yet probed for this set and farther
+        # ascending uncovered points not yet drawn for this set and farther
         # than cost_kc from every member; it only shrinks while the set grows
-        eligible = np.flatnonzero(uncovered)
-        pos = int(rng.integers(eligible.size))
-        seed_point = int(eligible[pos])
-        members = [seed_point]
-        eligible = far_from(np.delete(eligible, pos), seed_point)
-        while len(members) < k and eligible.size:
-            pos = int(rng.integers(eligible.size))
-            cand = int(eligible[pos])
-            query = CLMembershipQuery(
-                set_ids=tuple(members),
-                set_texts=tuple(data.text(m) for m in members),
-                candidate_id=cand,
-                candidate_text=data.text(cand),
-            )
-            verdict = oracle.query_cl_membership(query)
-            eligible = np.delete(eligible, pos)
-            if verdict.matched_index is None:
-                members.append(cand)
-                eligible = far_from(eligible, cand)
+        pool = np.flatnonzero(uncovered)
+        pos = int(rng.integers(pool.size))
+        members = [int(pool[pos])]
+        pool = far_from(np.delete(pool, pos), members[0])
+        while len(members) < size and pool.size:
+            cands, fresh = pool, []
+            while len(members) + len(fresh) < size and cands.size:
+                pos = int(rng.integers(cands.size))
+                fresh.append(int(cands[pos]))
+                cands = far_from(np.delete(cands, pos), fresh[-1])
+            ids = (*members, *fresh)
+            response = oracle.query_ml_group(
+                MLGroupQuery(ids=ids, texts=tuple(data.text(i) for i in ids)), kind="cl")
+            first = [0] * len(ids)  # smallest position of each position's group
+            for group in response.groups:
+                low = min(group)
+                for at in group:
+                    first[at] = low
+            joined = [cand for at, cand in enumerate(fresh, len(members)) if first[at] == at]
+            members += joined
+            rejections += len(fresh) - len(joined)
+            if len(joined) == len(fresh):
+                pool = cands
             else:
-                rejections += 1
+                pool = np.setdiff1d(pool, fresh, assume_unique=True)
+                for cand in joined:
+                    pool = far_from(pool, cand)
         uncovered[members] = False
         if len(members) >= 2:
             cl_sets.append(CLSet(members=tuple(members)))

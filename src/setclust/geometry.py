@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -88,6 +89,12 @@ class PointFrame:
         self._ulps = 32.0 * (self.points.shape[1] + 4) * _EPS
         self._reach = float(np.sqrt(self.norms.max(initial=0.0)))
         self._offset = float(np.sqrt(self.mean @ self.mean))
+
+    @cached_property
+    def spread(self) -> np.ndarray:
+        """Side lengths of the points' bounding box, ``max - min`` per
+        coordinate, taken on first use: once per dataset for its frame."""
+        return self.points.max(axis=0) - self.points.min(axis=0)
 
     def margin(self, shift_norm: float) -> float:
         """Rounding margin of readings against centers at most

@@ -102,8 +102,9 @@ def generate_constraints(data: EmbeddedDataset, oracle, k: int, seed: int,
                          m_max: int = constraints.DEFAULT_M_MAX) -> ConstraintCollection:
     """Stage 1: grid-driven ML candidates, thresholds, and radius-gated CL sets.
 
-    At most k CL sets are grown, which bounds the membership-query budget
-    while still giving the local search cross-cluster separation evidence.
+    At most k CL sets are grown, each in rounds of one grouping query of at
+    most ``m_max`` texts, which bounds the CL query budget while still giving
+    the local search cross-cluster separation evidence.
     ``k`` and ``m_max`` are checked before the oracle is asked anything.
     """
     check_generation(data, k, m_max)
@@ -116,7 +117,7 @@ def generate_constraints(data: EmbeddedDataset, oracle, k: int, seed: int,
     thresholds = constraints.compute_hard_thresholds(data, oracle, ml_candidates)
     ml_sets = constraints.classify_hard_soft(ml_candidates, thresholds)
     cl_sets, rejections = constraints.generate_cl_sets(data, oracle, kcr.cost, k, seed,
-                                                       max_sets=k)
+                                                       max_sets=k, m_max=m_max)
     ledger = oracle.ledger
     return ConstraintCollection(
         ml_sets=ml_sets,
@@ -140,8 +141,8 @@ def fsc_equivalent_queries(ml_sets: list[MLSet], cl_sets: list[CLSet],
     """Pairwise-query cost of reproducing the same constraints one pair at a time.
 
     Each ML set of size m would take C(m, 2) pairwise probes; growing a CL
-    set to size s takes C(s, 2) accepted probes plus one probe per rejected
-    candidate.
+    set to size s takes C(s, 2) accepted probes plus one probe per dropped
+    draw (a draw that did not join its set).
     """
     total = sum(math.comb(len(s.members), 2) for s in ml_sets)
     total += sum(math.comb(len(s.members), 2) for s in cl_sets)

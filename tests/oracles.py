@@ -227,14 +227,22 @@ def constraint_ri_pairs(ml_member_lists, cl_member_lists, truth) -> float:
 # constraint generation
 
 
-def generate_cl_sets_loop(data, oracle, cost_kc, k, seed, max_sets=None):
-    """Radius-gated CL growth that re-sorts the open candidates and measures
-    their gaps to every member on each probe; returns (sets, rejections)."""
+def generate_cl_sets_loop(data, oracle, cost_kc, k, seed, max_sets=None, m_max=10):
+    """Radius-gated CL growth in rounds of one grouping query, over sets of
+    indices that are re-sorted on every draw, with each gap measured by
+    ``np.linalg.norm``; returns (sets, rejections)."""
     from setclust.constraints import CLSet
-    from setclust.oracle import CLMembershipQuery
+    from setclust.oracle import MLGroupQuery
 
     rng = np.random.default_rng(seed)
     X = data.points
+    size = min(k, m_max)
+
+    def far_from(ids, point):
+        ids = sorted(ids)
+        gaps = np.linalg.norm(X[ids] - X[point], axis=1)
+        return {i for i, gap in zip(ids, gaps) if gap > cost_kc}
+
     uncovered = set(range(data.n))
     cl_sets = []
     rejections = 0
@@ -243,27 +251,30 @@ def generate_cl_sets_loop(data, oracle, cost_kc, k, seed, max_sets=None):
             break
         seed_point = int(rng.choice(sorted(uncovered)))
         members = [seed_point]
-        skipped = {seed_point}
-        while len(members) < k:
-            cand_idx = np.array(sorted(uncovered - skipped), dtype=np.int64)
-            if cand_idx.size == 0:
-                break
-            gaps = np.linalg.norm(X[cand_idx][:, None, :] - X[members][None, :, :], axis=2)
-            eligible = cand_idx[(gaps > cost_kc).all(axis=1)]
-            if eligible.size == 0:
-                break
-            cand = int(rng.choice(eligible))
-            query = CLMembershipQuery(
-                set_ids=tuple(members),
-                set_texts=tuple(data.text(m) for m in members),
-                candidate_id=cand,
-                candidate_text=data.text(cand),
-            )
-            if oracle.query_cl_membership(query).matched_index is None:
-                members.append(cand)
+        pool = far_from(uncovered - {seed_point}, seed_point)
+        while len(members) < size and pool:
+            cands = set(pool)
+            fresh = []
+            while len(members) + len(fresh) < size and cands:
+                fresh.append(int(rng.choice(sorted(cands))))
+                cands = far_from(cands - {fresh[-1]}, fresh[-1])
+            ids = tuple(members + fresh)
+            response = oracle.query_ml_group(
+                MLGroupQuery(ids=ids, texts=tuple(data.text(i) for i in ids)), kind="cl")
+            joined = []
+            for pos in range(len(members), len(ids)):
+                group = next(g for g in response.groups if pos in g)
+                if min(group) == pos:
+                    joined.append(ids[pos])
+                else:
+                    rejections += 1
+            members += joined
+            if len(joined) == len(fresh):
+                pool = cands
             else:
-                rejections += 1
-            skipped.add(cand)
+                pool -= set(fresh)
+                for cand in joined:
+                    pool = far_from(pool, cand)
         uncovered.difference_update(members)
         if len(members) >= 2:
             cl_sets.append(CLSet(members=tuple(members)))
@@ -403,7 +414,11 @@ def kmeans_baseline_loop(data, k: int, seed: int, convergence=None):
         raise ValueError(f"k must be in [1, {data.n}]")
     conv = convergence if convergence is not None else Convergence()
     X = data.points
-    tol = conv.resolve_tol(X)
+    if conv.tol is None:
+        spread = X.max(axis=0) - X.min(axis=0)
+        tol = 1e-4 * float(spread @ spread)
+    else:
+        tol = conv.tol
     frame = point_frame(X)
     centers, degenerate = kmeanspp_seed(frame, np.ones(data.n), k, seed)
     iterations = 0

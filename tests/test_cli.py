@@ -123,8 +123,8 @@ class TestDeterminism:
 # generated constraints or reports updates these digests and says so in its
 # change notes.
 GOLDEN = {
-    "constraints.json": "3c3e5047caaaccc66debd8ba72f885ceb04800b5539fee1862dbbdb06f9fa560",
-    "report.csv": "ee91ead4fd4ebfdb215a2e2e92c1c8dee91f83f0f72b1379fea4ba375fcf1689",
+    "constraints.json": "6f88e34322e4ea5a389a39725382a13479c7e1df34c54db59fc6c26b2109d300",
+    "report.csv": "4ead73f4fe367f006cdc9895c03883bd664d52b011a2649592060cd67f1ed563",
 }
 
 
@@ -168,8 +168,7 @@ class TestTranscript:
                      "--embeddings", str(workspace / "emb.bin"), "--k", "3", "--m-max", "4",
                      "--transcript", str(path), "--out", str(tmp_path / "cons.json")]) == 0
         entries = [json.loads(line) for line in path.read_text().splitlines()]
-        largest = max(len(e["ids"]) if e["kind"] == "ml" else len(e["set_ids"]) + 1
-                      for e in entries)
+        largest = max(len(e["ids"]) for e in entries)
         lines = capsys.readouterr().out.splitlines()
         assert lines[-2].startswith("ledger: ")
         assert lines[-1] == f"largest query: {largest} texts (m_max 4)"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import hard_points, make_dataset
 from oracles import (
     ALG1_TRACE_MERGE_WM,
     ALG1_TRACE_STAY_SPLIT_WM,
@@ -643,6 +643,22 @@ def test_baseline_matches_its_own_loop(seed, m, dim, levels, offset, max_iters, 
         want.iterations, want.converged, want.degenerate_seeding)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.sampled_from([1, 3, 64]),
+       kind=st.sampled_from(["grid", "dup", "near"]),
+       offset=st.sampled_from([0.0, 1e3, 1e6]))
+def test_resolved_tol_has_the_bits_of_one_bounding_box_pass(seed, n, d, kind, offset):
+    # the dataset's frame takes the bounding box once, on first use, and the
+    # tolerance keeps the bits of the scan each run used to take, under
+    # offsets and duplicated rows
+    points = hard_points(np.random.default_rng(seed), n, d, kind, offset)
+    spread = points.max(axis=0) - points.min(axis=0)
+    data = make_dataset(points)
+    assert Convergence().resolve_tol(data.frame) == 1e-4 * float(spread @ spread)
+    assert data.frame.spread is data.frame.spread
+    assert Convergence(tol=0.5).resolve_tol(data.frame) == 0.5
+
+
 class TestPenalties:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -659,9 +675,9 @@ class TestPenalties:
         computed = []
         resolve_tol = Convergence.resolve_tol
 
-        def counting(self, points):
+        def counting(self, frame):
             computed.append(self.tol is None)
-            return resolve_tol(self, points)
+            return resolve_tol(self, frame)
 
         monkeypatch.setattr(Convergence, "resolve_tol", counting)
         data = make_dataset(rng.normal(size=(40, 2)))

@@ -29,7 +29,7 @@ from setclust.constraints import (
     set_diameter,
 )
 from setclust.dataset import SyntheticSpec, generate_synthetic
-from setclust.oracle import MLGroupResponse, SimulatedOracle
+from setclust.oracle import MLGroupResponse, RemoteOracle, SimulatedOracle
 
 
 def sim_oracle(data, p=0.0, seed=0):
@@ -360,6 +360,11 @@ class TestGenerateCLSets:
         assert sets == []
         assert rejections == 1
 
+    def test_m_max_too_small(self):
+        data = make_dataset([[0.0], [100.0]], labels=[0, 1])
+        with pytest.raises(ValueError, match="m_max >= 2"):
+            generate_cl_sets(data, sim_oracle(data), cost_kc=1.0, k=2, seed=0, m_max=1)
+
     def test_max_sets_cap(self):
         pts = [[i * 50.0] for i in range(8)]
         data = make_dataset(pts, labels=list(range(8)))
@@ -391,14 +396,55 @@ class TestGenerateCLSets:
         assert got[1] == want[1]
 
     @staticmethod
-    def _same_as_loop(data, cost_kc, k, seed, p=0.0, max_sets=None):
+    def _same_as_loop(data, cost_kc, k, seed, p=0.0, max_sets=None, m_max=10):
         got = generate_cl_sets(data, sim_oracle(data, p=p, seed=seed), cost_kc=cost_kc,
-                               k=k, seed=seed, max_sets=max_sets)
+                               k=k, seed=seed, max_sets=max_sets, m_max=m_max)
         want = generate_cl_sets_loop(data, sim_oracle(data, p=p, seed=seed),
-                                     cost_kc, k, seed, max_sets=max_sets)
+                                     cost_kc, k, seed, max_sets=max_sets, m_max=m_max)
         assert [s.members for s in got[0]] == [s.members for s in want[0]]
         assert got[1] == want[1]
         return got
+
+    @pytest.mark.parametrize("m_max", [2, 3, 5])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3])
+    def test_m_max_below_k_same_as_reference_loop(self, m_max, p):
+        # sets of k=8 capped at m_max texts; on this instance every
+        # combination has dropped draws and sets that take a refill round
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 10, size=150)
+        data = make_dataset(rng.normal(size=(150, 3)) + 4.0 * labels[:, None], labels=labels)
+        sets, rejections = self._same_as_loop(data, 2.0, k=8, seed=0, p=p, m_max=m_max)
+        oracle = sim_oracle(data, p=p, seed=0)
+        generate_cl_sets(data, oracle, cost_kc=2.0, k=8, seed=0, m_max=m_max)
+        assert all(len(s.members) <= m_max for s in sets)
+        assert rejections > 0
+        assert oracle.ledger.cl_queries > len(sets)
+
+    def test_remote_groups_in_any_order_give_the_simulated_sets(self):
+        # a backend that lists the groups, and each group's positions, in
+        # descending order: a draw joins only when its group's smallest
+        # position is its own, wherever the backend puts it
+        rng = np.random.default_rng(1)
+        labels = rng.integers(0, 6, size=80)
+        data = make_dataset(rng.normal(size=(80, 2)) * 10.0, labels=labels)
+
+        def send(payload):
+            items = payload["messages"][0]["content"].split("\n\n", 1)[1].splitlines()
+            groups: dict[int, list[int]] = {}
+            for line in items:
+                pos, text = line.split(". ", 1)
+                groups.setdefault(labels[int(text.split()[-1])], []).append(int(pos))
+            listed = sorted((sorted(g, reverse=True) for g in groups.values()), reverse=True)
+            return "\n".join("GROUP: " + ", ".join(map(str, g)) for g in listed)
+
+        remote = RemoteOracle(model="m", send=send, backoff=0.0)
+        sim = sim_oracle(data)
+        for m_max in (3, 10):
+            got = generate_cl_sets(data, remote, cost_kc=3.0, k=8, seed=2, m_max=m_max)
+            want = generate_cl_sets(data, sim, cost_kc=3.0, k=8, seed=2, m_max=m_max)
+            assert [s.members for s in got[0]] == [s.members for s in want[0]]
+            assert got[1] == want[1] > 0
+        assert remote.ledger.cl_queries == sim.ledger.cl_queries
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_noiseless_same_as_reference_loop(self, seed):

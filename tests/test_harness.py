@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import hard_points, make_dataset
 from setclust import clustering, constraints, geometry, harness
 from setclust.constraints import (
     CLSet,
@@ -157,8 +157,8 @@ class TestGenerateConstraints:
     @given(n=st.integers(6, 80), k=st.integers(2, 8), m_max=st.integers(2, 12),
            p=st.sampled_from([0.0, 0.1, 0.3]), seed=st.integers(0, 1000))
     def test_ledger_records_largest_query(self, n, k, m_max, p, seed):
-        # the largest text count among the transcript's lines: an ML line
-        # lists its texts, a CL line its members and one candidate
+        # the largest text count among the transcript's lines, each of
+        # which lists its texts (a CL round's line too)
         data = generate_synthetic(SyntheticSpec(k_true=4, n=n, dim=3, separation=2.0,
                                                 seed=seed))
         k = min(k, n)
@@ -168,8 +168,53 @@ class TestGenerateConstraints:
                                          data, transcript_path=str(path))
             harness.generate_constraints(data, oracle, k=k, seed=seed, m_max=m_max)
             lines = [json.loads(line) for line in path.read_text().splitlines()]
-        texts = [len(e["ids"]) if e["kind"] == "ml" else len(e["set_ids"]) + 1 for e in lines]
-        assert oracle.ledger.max_query_texts == max(texts)
+        assert oracle.ledger.max_query_texts == max(len(e["ids"]) for e in lines)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), d=st.integers(1, 6),
+           layout=st.sampled_from(["grid", "dup", "near"]),
+           offset=st.sampled_from([0.0, 1e3, 1e6]), k=st.integers(2, 30),
+           m_max=st.integers(2, 12), p=st.sampled_from([0.0, 0.1, 0.3]),
+           whole=st.booleans())
+    def test_cl_queries_within_budget(self, seed, n, d, layout, offset, k, m_max, p, whole):
+        # CL rounds spied on at the oracle, in the whole generation (cost_kc
+        # the k-center radius) or in CL growth alone (cost_kc the distance of
+        # two of the points, so some gaps sit exactly at the gate)
+        rng = np.random.default_rng(seed)
+        points = hard_points(rng, n, d, layout, offset)
+        labels = rng.integers(0, 8, size=n)
+        data = make_dataset(points, labels=labels)
+        k = min(k, n)
+        oracle = SimulatedOracle(dict(enumerate(labels.tolist())), error_rate=p,
+                                 seed=seed % 1000)
+        sent = []
+        ask = oracle.query_ml_group
+
+        def spy(query, repeat=0, kind="ml"):
+            if kind == "cl":
+                sent.append(len(query.ids))
+            return ask(query, repeat=repeat, kind=kind)
+
+        oracle.query_ml_group = spy
+        if whole:
+            coll = harness.generate_constraints(data, oracle, k=k, seed=seed % 1000,
+                                                m_max=m_max)
+            cl_sets, cost_kc = coll.cl_sets, coll.meta["cost_kc"]
+            assert coll.meta["cl_queries"] == len(sent)
+        else:
+            a, b = rng.integers(0, n, size=2)
+            cost_kc = float(np.linalg.norm(points[a] - points[b]))
+            cl_sets, _ = constraints.generate_cl_sets(data, oracle, cost_kc, k, seed % 1000,
+                                                      m_max=m_max)
+        assert all(2 <= texts <= m_max for texts in sent)
+        assert len(sent) == oracle.ledger.cl_queries
+        for s in cl_sets:
+            members = list(s.members)
+            assert len(members) <= min(k, m_max)
+            gaps = np.linalg.norm(points[members][:, None] - points[members][None], axis=2)
+            assert (gaps[np.triu_indices(len(members), 1)] > cost_kc).all()
+            if p == 0:
+                assert len(set(labels[members].tolist())) == len(members)
 
     @pytest.mark.parametrize("k, m_max", [(1, 10), (3, 1)])
     def test_bad_k_or_m_max_rejected_before_any_query(self, blob_data, k, m_max):
