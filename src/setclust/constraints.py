@@ -112,6 +112,12 @@ def set_diameter(points: np.ndarray, members: tuple[int, ...]) -> float:
     return best
 
 
+def _query(data: EmbeddedDataset, ids) -> MLGroupQuery:
+    """The grouping query listing the texts of ``ids`` in that order."""
+    ids = tuple(ids)
+    return MLGroupQuery(ids=ids, texts=tuple(data.text(i) for i in ids))
+
+
 def _chunks(seq: list[int], size: int):
     for i in range(0, len(seq), size):
         yield seq[i:i + size]
@@ -192,10 +198,7 @@ def generate_ml_sets(data: EmbeddedDataset, oracle, grid: GridPartition,
         for chunk in _chunks(order, m_max):
             if len(chunk) < 2:
                 continue
-            query = MLGroupQuery(ids=tuple(chunk),
-                                 texts=tuple(data.text(i) for i in chunk))
-            response = oracle.query_ml_group(query)
-            for group in response.groups:
+            for group in oracle.query_ml_group(_query(data, chunk)).groups:
                 if len(group) < 2:
                     continue
                 members = tuple(sorted(chunk[pos] for pos in group))
@@ -245,7 +248,7 @@ def connected_groups(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
 
 def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
                         cost_kc: float, m_max: int = DEFAULT_M_MAX) -> list[MLSet]:
-    """Merge ML sets whose representatives the oracle consistently groups.
+    """Merge ML sets whose representatives the oracle groups together.
 
     The blocks are the input sets plus a one-point block for each point no
     input set covers. Each round takes one representative per block (the
@@ -254,15 +257,16 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
     longer than ``m_max`` is asked as a sequence of grouping queries that
     overlap by one text, so its merges chain through the shared
     representative; each of these queries is asked once. Pairs of
-    chain-adjacent segments are bridged with two-text queries repeated
-    ``ALPHA_MERGE`` times, merging only on an identical verdict every time.
+    chain-adjacent segments are bridged with two-text queries, merging only
+    when ``consistency_repeat`` finds the two texts one group in each of
+    ``ALPHA_MERGE`` repeats; asking stops at the first "two groups".
     A segment is kept spatially tight on purpose: a query containing two
     different multi-member topics would be glued into one group by a single
     noisy pairwise verdict, and because any such verdict produces the same
     glued partition, repetition cannot detect it. Tight segments make the
     true partition of every multi-text query a single group, and restrict
-    cross-topic decisions to two-text bridges, where a wrong verdict must
-    repeat identically ``ALPHA_MERGE`` times to pass. Rounds repeat until no
+    cross-topic decisions to two-text bridges, where a wrong "one group"
+    verdict must repeat ``ALPHA_MERGE`` times to pass. Rounds repeat until no
     merge happens, up to ``MAX_MERGE_ROUNDS`` — an unbounded loop would keep
     re-rolling oracle noise until some spurious merge eventually passed.
     An input set no round merges comes back as the same object; a merged
@@ -280,25 +284,17 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
         reps = [min(block) for block in blocks]
         rep_to_block = {rep: i for i, rep in enumerate(reps)}
         pairs: list[tuple[int, int]] = []
-
-        def ask(ids: tuple[int, ...], repeats: int) -> None:
-            """Link the blocks of each group the oracle gives ``repeats`` times alike."""
-            query = MLGroupQuery(ids=ids, texts=tuple(data.text(i) for i in ids))
-            responses = [oracle.query_ml_group(query, repeat=rep,
-                                               kind="ml" if rep == 0 else "consistency")
-                         for rep in range(repeats)]
-            if len({r.canonical() for r in responses}) == 1:
-                for group in responses[0].groups:
-                    pairs.extend((rep_to_block[ids[group[0]]], rep_to_block[ids[pos]])
-                                 for pos in group[1:])
-
         segments = _cut_segments(data.points, _locality_order(data.points, reps)[0], tau)
         for segment in segments:
             # overlap by one so merges chain through the shared text
             for start in range(0, len(segment) - 1, m_max - 1):
-                ask(tuple(segment[start:start + m_max]), repeats=1)
+                ids = segment[start:start + m_max]
+                for group in oracle.query_ml_group(_query(data, ids)).groups:
+                    pairs.extend((rep_to_block[ids[group[0]]], rep_to_block[ids[pos]])
+                                 for pos in group[1:])
         for left, right in zip(segments, segments[1:]):
-            ask((left[-1], right[0]), repeats=ALPHA_MERGE)
+            if consistency_repeat(oracle, _query(data, (left[-1], right[0])), ALPHA_MERGE):
+                pairs.append((rep_to_block[left[-1]], rep_to_block[right[0]]))
         merged = connected_groups(len(blocks), pairs)
         if len(merged) == len(blocks):
             break
@@ -307,12 +303,6 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
     return [s if s is not None else MLSet(members=block,
                                           diameter=set_diameter(data.points, block))
             for s, block in zip(unmerged, blocks) if len(block) >= 2]
-
-
-def _probe_passes(data: EmbeddedDataset, oracle, candidate: MLSet, alpha: int) -> bool:
-    query = MLGroupQuery(ids=candidate.members,
-                         texts=tuple(data.text(i) for i in candidate.members))
-    return consistency_repeat(oracle, query, alpha)
 
 
 MAX_THRESHOLD_PROBES = 16
@@ -335,7 +325,7 @@ def _search_class(data, oracle, candidates: list[MLSet], alpha: int) -> float:
     # assumes consistency is monotone in the diameter
     while lo <= hi:
         mid = (lo + hi) // 2
-        if _probe_passes(data, oracle, by_diameter[psis[mid]], alpha):
+        if consistency_repeat(oracle, _query(data, by_diameter[psis[mid]].members), alpha):
             best = mid
             lo = mid + 1
         else:
@@ -345,13 +335,14 @@ def _search_class(data, oracle, candidates: list[MLSet], alpha: int) -> float:
 
 def compute_hard_thresholds(data: EmbeddedDataset, oracle,
                             candidates: list[MLSet]) -> ThresholdResult:
-    """Binary search the largest consistently-answered diameter per arity class.
+    """Binary search the largest diameter per arity class whose candidate the
+    oracle keeps answering as one group.
 
-    Candidates of each class are ordered by distinct diameter; a probe asks
-    the oracle the same grouping ``ALPHA_PAIR`` times (pairs) or
-    ``ALPHA_SET`` times (larger sets) and passes only when all repeats
-    agree. A class with no candidates, or whose smallest diameter already
-    fails, gets threshold 0.
+    Candidates of each class are ordered by distinct diameter; a probe is
+    ``consistency_repeat`` of the candidate's members with ``ALPHA_PAIR``
+    (pairs) or ``ALPHA_SET`` (larger sets) repeats, and passes only when
+    every repeat returns the whole set as one group. A class with no
+    candidates, or whose smallest diameter already fails, gets threshold 0.
     """
     pairs = [c for c in candidates if len(c.members) == 2]
     sets_ = [c for c in candidates if len(c.members) >= 3]
@@ -423,8 +414,7 @@ def generate_cl_sets(data: EmbeddedDataset, oracle, cost_kc: float, k: int, seed
                 fresh.append(int(cands[pos]))
                 cands = far_from(np.delete(cands, pos), fresh[-1])
             ids = (*members, *fresh)
-            response = oracle.query_ml_group(
-                MLGroupQuery(ids=ids, texts=tuple(data.text(i) for i in ids)), kind="cl")
+            response = oracle.query_ml_group(_query(data, ids), kind="cl")
             first = [0] * len(ids)  # smallest position of each position's group
             for group in response.groups:
                 low = min(group)

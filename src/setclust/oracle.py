@@ -39,9 +39,6 @@ class MLGroupResponse:
 
     groups: tuple[tuple[int, ...], ...]
 
-    def canonical(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(g) for g in self.groups)
-
 
 @dataclass(frozen=True)
 class CLMembershipQuery:
@@ -72,10 +69,11 @@ class QueryLedger:
 
     With ``transcript_path``, the file is truncated when the ledger is made
     and every recorded query that carries an entry appends it as one JSON
-    line. ``failed_attempts`` counts backend calls that failed and were
-    retried or surfaced; it is not part of ``total``, which counts answered
-    queries. ``max_query_texts`` is the text count of the largest answered
-    query, as the oracle reports it to ``record``.
+    line, led by the query's ledger ``kind``. ``failed_attempts`` counts
+    backend calls that failed and were retried or surfaced; it is not part
+    of ``total``, which counts answered queries. ``max_query_texts`` is the
+    text count of the largest answered query, as the oracle reports it to
+    ``record``.
     """
 
     ml_queries: int = 0
@@ -103,7 +101,7 @@ class QueryLedger:
             self.max_query_texts = max(self.max_query_texts, texts)
             if self.transcript_path is not None and entry is not None:
                 with open(self.transcript_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry) + "\n")
+                    fh.write(json.dumps({"kind": kind, **entry}) + "\n")
 
     def record_failure(self) -> None:
         with self._lock:
@@ -183,7 +181,7 @@ class SimulatedOracle:
             len(query.ids),
             lambda i, j: self._same(query.ids[i], query.ids[j], repeat, context),
         )
-        self.ledger.record(kind, {"kind": "ml", "ids": list(query.ids), "repeat": repeat,
+        self.ledger.record(kind, {"ids": list(query.ids), "repeat": repeat,
                                   "groups": [list(g) for g in groups]}, texts=len(query.ids))
         return MLGroupResponse(groups=groups)
 
@@ -194,43 +192,28 @@ class SimulatedOracle:
             if self._same(member, query.candidate_id, 0, context):
                 matched = pos
                 break
-        self.ledger.record("cl", {"kind": "cl", "set_ids": list(query.set_ids),
+        self.ledger.record("cl", {"set_ids": list(query.set_ids),
                                   "candidate": query.candidate_id, "repeat": 0,
                                   "matched": matched}, texts=len(query.set_ids) + 1)
         return CLMembershipResponse(matched_index=matched)
 
 
 def consistency_repeat(oracle, query: MLGroupQuery, alpha: int) -> bool:
-    """True iff ``alpha`` repeated queries return the identical partition.
+    """True iff each of ``alpha`` repeats returns the whole query as one group.
 
-    Comparison is order-insensitive; the ledger's consistency count grows by
-    alpha regardless of the outcome.
+    Asking stops at the first repeat that does not, since that repeat already
+    decides the verdict; every repeat asked is a ledger ``consistency`` query.
     """
     if alpha < 1:
         raise ValueError("alpha >= 1 required")
-    seen = None
-    consistent = True
-    for rep in range(alpha):
-        resp = oracle.query_ml_group(query, repeat=rep, kind="consistency")
-        canon = resp.canonical()
-        if seen is None:
-            seen = canon
-        elif canon != seen:
-            consistent = False
-    return consistent
+    return all(len(oracle.query_ml_group(query, repeat=rep, kind="consistency").groups) == 1
+               for rep in range(alpha))
 
 
 ML_PROMPT = (
     "You will be given a numbered list of short texts. Group together the texts "
     "that are about the same topic. Every index must appear in exactly one group. "
     "Answer with one line per group in the form 'GROUP: i, j, k' and nothing else.\n\n{items}"
-)
-
-CL_PROMPT = (
-    "Here is a set of short texts, each about a different topic:\n{members}\n\n"
-    "Candidate text: {candidate}\n\n"
-    "If the candidate is about the same topic as one of the numbered texts, answer "
-    "'MATCH: i' with that text's number. Otherwise answer 'NONE'."
 )
 
 
@@ -261,21 +244,6 @@ def parse_ml_response(content: str, m: int) -> MLGroupResponse:
     return MLGroupResponse(groups=tuple(groups))
 
 
-def parse_cl_response(content: str, set_size: int) -> CLMembershipResponse:
-    text = content.strip()
-    if text.upper().startswith("NONE"):
-        return CLMembershipResponse(matched_index=None)
-    if text.upper().startswith("MATCH:"):
-        try:
-            idx = int(text.split(":", 1)[1].strip().split()[0])
-        except (ValueError, IndexError) as exc:
-            raise OracleBackendError(f"unparseable match line {text!r}") from exc
-        if not 0 <= idx < set_size:
-            raise OracleBackendError(f"match index {idx} out of range")
-        return CLMembershipResponse(matched_index=idx)
-    raise OracleBackendError(f"unrecognized verdict {content!r}")
-
-
 TEMPERATURE = 0.0  # of every request; ML repeats differ by text order instead
 
 
@@ -285,6 +253,7 @@ class RemoteOracle:
     Endpoint and key come from ORACLE_API_URL / ORACLE_API_KEY; each query is
     retried up to ``max_attempts`` times with exponential backoff, and an
     unparseable response after retries is an error, never silently dropped.
+    It answers grouping queries only (CL growth asks grouping queries too).
     ``send`` is injectable for testing. Queries are sent one at a time; each
     answered one goes to the ledger with its request, response and latency,
     and each failed attempt is counted there too.
@@ -310,7 +279,7 @@ class RemoteOracle:
         resp.raise_for_status()
         return resp.json()["choices"][0]["message"]["content"]
 
-    def _chat(self, prompt: str, parse, kind: str, context: dict, texts: int):
+    def _chat(self, prompt: str, m: int, kind: str, context: dict) -> MLGroupResponse:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -323,14 +292,14 @@ class RemoteOracle:
             start = time.monotonic()
             try:
                 content = self._send(payload)
-                result = parse(content)
+                result = parse_ml_response(content, m)
             except Exception as exc:  # noqa: BLE001 - retried, then surfaced
                 last_error = exc
                 self.ledger.record_failure()
                 continue
             self.ledger.record(kind, {**context, "request": payload, "response": content,
                                       "latency_ms": round(1000 * (time.monotonic() - start), 1)},
-                               texts=texts)
+                               texts=m)
             return result
         raise OracleBackendError(
             f"backend failed after {self.max_attempts} attempts: {last_error}"
@@ -342,19 +311,11 @@ class RemoteOracle:
         drawn from ``np.random.default_rng(r)``, so repeats at temperature 0
         still differ. Groups are returned as query positions either way."""
         m = len(query.ids)
-        context = {"kind": "ml", "ids": list(query.ids), "repeat": repeat}
+        context = {"ids": list(query.ids), "repeat": repeat}
         order = list(range(m))
         if repeat > 0:
             order = np.random.default_rng(repeat).permutation(m).tolist()
             context["order"] = order
         items = "\n".join(f"{i}. {query.texts[q]}" for i, q in enumerate(order))
-        listed = self._chat(ML_PROMPT.format(items=items), lambda c: parse_ml_response(c, m),
-                            kind, context, texts=m)
+        listed = self._chat(ML_PROMPT.format(items=items), m, kind, context)
         return MLGroupResponse(groups=tuple(tuple(order[i] for i in g) for g in listed.groups))
-
-    def query_cl_membership(self, query: CLMembershipQuery) -> CLMembershipResponse:
-        members = "\n".join(f"{i}. {t}" for i, t in enumerate(query.set_texts))
-        prompt = CL_PROMPT.format(members=members, candidate=query.candidate_text)
-        return self._chat(prompt, lambda c: parse_cl_response(c, len(query.set_ids)), "cl",
-                          {"kind": "cl", "candidate": query.candidate_id, "repeat": 0},
-                          texts=len(query.set_ids) + 1)

@@ -27,6 +27,12 @@ def make_dataset(points, labels=None) -> EmbeddedDataset:
     return EmbeddedDataset(points=points, records=records)
 
 
+def partition(response) -> set[frozenset[int]]:
+    """A grouping response's groups as position sets, group and member
+    order ignored."""
+    return {frozenset(g) for g in response.groups}
+
+
 def hard_points(rng, n: int, d: int, kind: str, offset: float) -> np.ndarray:
     """Points where readings tie or nearly tie: an integer grid, rows
     duplicated from a few sites, or those rows moved by about 1e-9 of the

@@ -567,3 +567,13 @@ def threshold_linear_scan(diameters, passes) -> float:
         if passes(d):
             best = d
     return best
+
+
+def consistency_repeat_all(oracle, query, alpha: int) -> bool:
+    """The one-group repeat rule asking every repeat: all ``alpha`` repeats
+    are asked, then the verdict is whether each returned a single group.
+    The reference for ``consistency_repeat``, which stops at the first
+    repeat that does not."""
+    answers = [oracle.query_ml_group(query, repeat=rep, kind="consistency")
+               for rep in range(alpha)]
+    return all(len(answer.groups) == 1 for answer in answers)

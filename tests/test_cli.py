@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -123,8 +124,8 @@ class TestDeterminism:
 # generated constraints or reports updates these digests and says so in its
 # change notes.
 GOLDEN = {
-    "constraints.json": "6f88e34322e4ea5a389a39725382a13479c7e1df34c54db59fc6c26b2109d300",
-    "report.csv": "4ead73f4fe367f006cdc9895c03883bd664d52b011a2649592060cd67f1ed563",
+    "constraints.json": "1373576a16f85310ceef69d6012296faf4fa18ce88c4aa282709e9cc82b20df1",
+    "report.csv": "85ffeae48484b101b696a38d3831ec4c79f82da7787beabec1a5209f093f1b53",
 }
 
 
@@ -161,6 +162,18 @@ class TestTranscript:
                               + meta["consistency_queries"])
         assert all(isinstance(json.loads(line), dict) for line in lines)
         assert texts[0] == texts[1]
+
+    def test_each_line_carries_its_ledger_kind(self, workspace, tmp_path):
+        path, cons = tmp_path / "t.jsonl", tmp_path / "cons.json"
+        assert main(["gen-constraints", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--embeddings", str(workspace / "emb.bin"), "--k", "3",
+                     "--seed", "0", "--error-rate", "0.2", "--transcript", str(path),
+                     "--out", str(cons)]) == 0
+        meta = json.loads(cons.read_text())["meta"]
+        tally = Counter(json.loads(line)["kind"] for line in path.read_text().splitlines())
+        assert dict(tally) == {kind: meta[f"{kind}_queries"]
+                               for kind in ("ml", "cl", "consistency")}
+        assert min(tally.values()) > 0
 
     def test_largest_query_printed_after_the_ledger(self, workspace, tmp_path, capsys):
         path = tmp_path / "t.jsonl"

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hard_points, make_dataset
+from oracles import consistency_repeat_all
 from setclust import clustering, constraints, geometry, harness
 from setclust.constraints import (
     CLSet,
@@ -138,6 +139,29 @@ class TestGenerateConstraints:
         assert coll.meta["consistency_queries"] == oracle.ledger.consistency_queries
         # failed backend attempts are not queries and do not reach the constraint file
         assert "failed_attempts" not in coll.meta
+
+    @pytest.mark.parametrize("n,k,separation,p,seed", [
+        (200, 4, 1.5, 0.3, 1), (200, 12, 3.0, 0.05, 0), (300, 8, 2.0, 0.1, 2)])
+    def test_early_exit_matches_asking_every_repeat(self, monkeypatch, n, k, separation, p,
+                                                     seed):
+        # stopping at the first split answer moves no other draw, so only the
+        # ledger changes, and it can only shrink
+        data = generate_synthetic(SyntheticSpec(k_true=k, n=n, dim=8,
+                                                separation=separation, seed=seed))
+        config = sim_config(k=k, oracle_error_rate=p, oracle_seed=seed)
+        runs = []
+        for rule in (constraints.consistency_repeat, consistency_repeat_all):
+            monkeypatch.setattr(constraints, "consistency_repeat", rule)
+            oracle = harness.make_oracle(config, data)
+            runs.append((harness.generate_constraints(data, oracle, k=k, seed=seed),
+                         oracle.ledger.total))
+        (early, early_total), (every, every_total) = runs
+        assert early.ml_sets == every.ml_sets
+        assert early.cl_sets == every.cl_sets
+        ledger_keys = {"ml_queries", "cl_queries", "consistency_queries"}
+        assert ({key: v for key, v in early.meta.items() if key not in ledger_keys}
+                == {key: v for key, v in every.meta.items() if key not in ledger_keys})
+        assert early_total <= every_total
 
     def test_cl_sets_capped_at_k_by_default(self, blob_data):
         oracle = harness.make_oracle(sim_config(), blob_data)

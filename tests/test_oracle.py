@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import partition
 from oracles import components_bfs, sim_oracle_groups_reference
 from setclust.oracle import (
     CLMembershipQuery,
@@ -17,7 +18,6 @@ from setclust.oracle import (
     SimulatedOracle,
     _groups_from_pairs,
     consistency_repeat,
-    parse_cl_response,
     parse_ml_response,
 )
 
@@ -34,7 +34,7 @@ class TestSimulatedOracleNoiseless:
     def test_label_partition(self):
         oracle = make_oracle(["a", "a", "b"])
         resp = oracle.query_ml_group(ml_query([0, 1, 2]))
-        assert resp.canonical() == {frozenset({0, 1}), frozenset({2})}
+        assert partition(resp) == {frozenset({0, 1}), frozenset({2})}
 
     def test_no_draws_at_zero_noise(self, monkeypatch):
         def no_draw(self, *key):
@@ -43,7 +43,7 @@ class TestSimulatedOracleNoiseless:
         monkeypatch.setattr(SimulatedOracle, "_unit", no_draw)
         oracle = make_oracle(["a", "b", "a", "c", "b"])
         resp = oracle.query_ml_group(ml_query(range(5)))
-        assert resp.canonical() == {frozenset({0, 2}), frozenset({1, 4}), frozenset({3})}
+        assert partition(resp) == {frozenset({0, 2}), frozenset({1, 4}), frozenset({3})}
         query = CLMembershipQuery(set_ids=(0, 1, 3), set_texts=("t0", "t1", "t3"),
                                   candidate_id=4, candidate_text="t4")
         assert oracle.query_cl_membership(query).matched_index == 1
@@ -51,7 +51,7 @@ class TestSimulatedOracleNoiseless:
     def test_all_distinct_labels(self):
         oracle = make_oracle(["a", "b", "c", "d"])
         resp = oracle.query_ml_group(ml_query([0, 1, 2, 3]))
-        assert resp.canonical() == {frozenset({i}) for i in range(4)}
+        assert partition(resp) == {frozenset({i}) for i in range(4)}
 
     def test_cl_no_match(self):
         oracle = make_oracle(["a", "b", "c"])
@@ -81,7 +81,7 @@ class TestSimulatedOracleNoise:
     def test_replay_identical(self):
         oracle = make_oracle(["a", "a", "b", "b", "c"], p=0.5, seed=11)
         q = ml_query([0, 1, 2, 3, 4])
-        assert oracle.query_ml_group(q).canonical() == oracle.query_ml_group(q).canonical()
+        assert partition(oracle.query_ml_group(q)) == partition(oracle.query_ml_group(q))
 
     def test_matches_reference_noise_model(self):
         # the response must equal pairwise label flips + transitive closure,
@@ -96,7 +96,7 @@ class TestSimulatedOracleNoise:
                 return oracle._unit("pair", list(context), lo, hi, 0) < 0.3
 
             expected = sim_oracle_groups_reference(labels, ids, flip)
-            got = oracle.query_ml_group(ml_query(ids)).canonical()
+            got = partition(oracle.query_ml_group(ml_query(ids)))
             assert got == expected
 
     def test_p1_complements_p0(self):
@@ -106,10 +106,10 @@ class TestSimulatedOracleNoise:
         flipped = make_oracle(labels, p=1.0)
         same_pair = ml_query([0, 1])
         diff_pair = ml_query([0, 2])
-        assert clean.query_ml_group(same_pair).canonical() == {frozenset({0, 1})}
-        assert flipped.query_ml_group(same_pair).canonical() == {frozenset({0}), frozenset({1})}
-        assert clean.query_ml_group(diff_pair).canonical() == {frozenset({0}), frozenset({1})}
-        assert flipped.query_ml_group(diff_pair).canonical() == {frozenset({0, 1})}
+        assert partition(clean.query_ml_group(same_pair)) == {frozenset({0, 1})}
+        assert partition(flipped.query_ml_group(same_pair)) == {frozenset({0}), frozenset({1})}
+        assert partition(clean.query_ml_group(diff_pair)) == {frozenset({0}), frozenset({1})}
+        assert partition(flipped.query_ml_group(diff_pair)) == {frozenset({0, 1})}
 
     def test_distinct_queries_flip_independently(self):
         # the same pair inside different query contexts can get different
@@ -119,24 +119,60 @@ class TestSimulatedOracleNoise:
         verdicts = set()
         for extra in range(2, 12):
             resp = oracle.query_ml_group(ml_query([0, 1, extra]))
-            canon = resp.canonical()
-            verdicts.add(any({0, 1} <= g for g in canon))
+            verdicts.add(any({0, 1} <= g for g in partition(resp)))
         assert verdicts == {True, False}
 
 
 class TestConsistencyRepeat:
     def test_noiseless_always_consistent(self):
+        # a noiseless oracle answers every repeat alike: a one-topic query
+        # passes after alpha repeats, a two-topic one fails after the first
         oracle = make_oracle(["a", "a", "b"])
-        assert consistency_repeat(oracle, ml_query([0, 1, 2]), alpha=5)
+        assert consistency_repeat(oracle, ml_query([0, 1]), alpha=5)
         assert oracle.ledger.consistency_queries == 5
+        assert not consistency_repeat(oracle, ml_query([0, 1, 2]), alpha=5)
+        assert oracle.ledger.consistency_queries == 6
+        assert oracle.ledger.total == 6
 
     def test_alpha_one_trivially_consistent(self):
-        oracle = make_oracle(["a", "b"], p=0.5, seed=2)
-        assert consistency_repeat(oracle, ml_query([0, 1]), alpha=1)
+        # one repeat has nothing to agree with: the verdict is whether repeat 0
+        # alone is one group
+        verdicts = set()
+        for seed in range(20):
+            oracle = make_oracle(["a", "b"], p=0.5, seed=seed)
+            first = make_oracle(["a", "b"], p=0.5, seed=seed).query_ml_group(ml_query([0, 1]))
+            verdict = consistency_repeat(oracle, ml_query([0, 1]), alpha=1)
+            assert verdict == (len(first.groups) == 1)
+            assert oracle.ledger.consistency_queries == 1
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_no_repeat_after_a_split_answer(self):
+        # repeat r is asked only when repeats 0..r-1 all answered one group
+        stopped_early = 0
+        for seed in range(30):
+            oracle = make_oracle(["a", "a", "a"], p=0.3, seed=seed)
+            answers = []
+            real = oracle.query_ml_group
+
+            def spy(query, repeat=0, kind="ml"):
+                resp = real(query, repeat=repeat, kind=kind)
+                answers.append((repeat, len(resp.groups)))
+                return resp
+
+            oracle.query_ml_group = spy
+            passed = consistency_repeat(oracle, ml_query([0, 1, 2]), alpha=5)
+            assert [rep for rep, _ in answers] == list(range(len(answers)))
+            assert all(groups == 1 for _, groups in answers[:-1])
+            assert passed == (answers == [(rep, 1) for rep in range(5)])
+            assert oracle.ledger.consistency_queries == len(answers)
+            stopped_early += len(answers) < 5
+        assert stopped_early > 0
 
     def test_noisy_two_text_query_mostly_inconsistent(self):
         # with p=0.5 and fresh randomness per repeat, 10 repeats of a 2-text
-        # query agree with probability 2^-9; false in > 90% of 200 trials
+        # query all answer one group with probability 2^-10; false in > 90%
+        # of 200 trials
         inconsistent = 0
         for seed in range(200):
             oracle = make_oracle(["a", "b"], p=0.5, seed=seed)
@@ -172,7 +208,7 @@ class TestQueryValidation:
 class TestParsers:
     def test_parse_ml_groups(self):
         resp = parse_ml_response("GROUP: 0, 2\nGROUP: 1\n", 3)
-        assert resp.canonical() == {frozenset({0, 2}), frozenset({1})}
+        assert partition(resp) == {frozenset({0, 2}), frozenset({1})}
 
     def test_parse_ml_missing_index(self):
         with pytest.raises(OracleBackendError, match="cover"):
@@ -186,26 +222,12 @@ class TestParsers:
         with pytest.raises(OracleBackendError):
             parse_ml_response("GROUP: zero, one\n", 2)
 
-    def test_parse_cl_none(self):
-        assert parse_cl_response("NONE", 3).matched_index is None
-
-    def test_parse_cl_match(self):
-        assert parse_cl_response("MATCH: 2", 3).matched_index == 2
-
-    def test_parse_cl_out_of_range(self):
-        with pytest.raises(OracleBackendError, match="out of range"):
-            parse_cl_response("MATCH: 5", 3)
-
-    def test_parse_cl_garbage(self):
-        with pytest.raises(OracleBackendError):
-            parse_cl_response("maybe?", 3)
-
 
 class TestRemoteOracle:
     def test_success_and_ledger(self):
         oracle = RemoteOracle(model="m", send=lambda p: "GROUP: 0, 1\n", backoff=0)
         resp = oracle.query_ml_group(ml_query([4, 7]))
-        assert resp.canonical() == {frozenset({0, 1})}
+        assert partition(resp) == {frozenset({0, 1})}
         assert oracle.ledger.ml_queries == 1
 
     def test_retry_then_success(self):
@@ -215,16 +237,15 @@ class TestRemoteOracle:
             attempts.append(1)
             if len(attempts) < 3:
                 raise RuntimeError("transient")
-            return "NONE"
+            return "GROUP: 0\nGROUP: 1\n"
 
         oracle = RemoteOracle(model="m", send=flaky, backoff=0)
-        resp = oracle.query_cl_membership(CLMembershipQuery(
-            set_ids=(0,), set_texts=("t",), candidate_id=1, candidate_text="u"))
-        assert resp.matched_index is None
+        resp = oracle.query_ml_group(ml_query([0, 1]))
+        assert partition(resp) == {frozenset({0}), frozenset({1})}
         assert len(attempts) == 3
 
     def test_failed_attempts_counted_apart_from_queries(self):
-        replies = iter([RuntimeError("transient"), "garbled", "NONE"])
+        replies = iter([RuntimeError("transient"), "garbled", "GROUP: 0, 1\n"])
 
         def flaky(payload):
             reply = next(replies)
@@ -233,9 +254,8 @@ class TestRemoteOracle:
             return reply
 
         oracle = RemoteOracle(model="m", send=flaky, backoff=0)
-        oracle.query_cl_membership(CLMembershipQuery(
-            set_ids=(0,), set_texts=("t",), candidate_id=1, candidate_text="u"))
-        assert oracle.ledger.cl_queries == 1
+        oracle.query_ml_group(ml_query([0, 1]))
+        assert oracle.ledger.ml_queries == 1
         assert oracle.ledger.total == 1
         assert oracle.ledger.failed_attempts == 2
 
@@ -327,17 +347,24 @@ class TestRemoteRepeats:
         assert sent[0] == list(self.TEXTS)
         assert sent[1] != sent[0] and sorted(sent[1]) == sorted(self.TEXTS)
         want = {frozenset({0, 2, 5}), frozenset({1, 4}), frozenset({3})}
-        assert first.canonical() == second.canonical() == want
+        assert partition(first) == partition(second) == want
         entries = [json.loads(line) for line in path.read_text().splitlines()]
         assert "order" not in entries[0]
         assert [self.TEXTS[q] for q in entries[1]["order"]] == sent[1]
 
     def test_consistent_backend_passes_consistency_repeat(self):
+        # one topic passes after alpha asks in differing orders; three topics
+        # fail after the first ask
         sent = []
         oracle = RemoteOracle(model="m", send=self.by_first_word(sent), backoff=0)
-        query = MLGroupQuery(ids=tuple(range(6)), texts=self.TEXTS)
+        apples = (0, 2, 5)
+        query = MLGroupQuery(ids=apples, texts=tuple(self.TEXTS[i] for i in apples))
         assert consistency_repeat(oracle, query, alpha=4)
+        assert len(sent) == oracle.ledger.consistency_queries == 4
         assert len({tuple(s) for s in sent}) > 1
+        query = MLGroupQuery(ids=tuple(range(6)), texts=self.TEXTS)
+        assert not consistency_repeat(oracle, query, alpha=4)
+        assert len(sent) == oracle.ledger.consistency_queries == 5
 
 
 class TestLedger:
@@ -350,26 +377,31 @@ class TestLedger:
         path.write_text("stale line\n")
         ledger = QueryLedger(transcript_path=str(path))
         assert path.read_text() == ""  # truncated when the ledger is made
-        ledger.record("ml", {"kind": "ml", "ids": [0, 1]})
-        ledger.record("consistency", {"kind": "ml", "ids": [0, 1]})
-        ledger.record("cl", {"kind": "cl", "matched": None})
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines == [{"kind": "ml", "ids": [0, 1]}, {"kind": "ml", "ids": [0, 1]},
-                         {"kind": "cl", "matched": None}]
-        assert ledger.total == len(lines)
+        ledger.record("ml", {"ids": [0, 1]})
+        ledger.record("consistency", {"ids": [0, 1]})
+        ledger.record("cl", {"ids": [0, 2]})
+        raw = path.read_text().splitlines()
+        # each line leads with the kind the ledger counted it under
+        assert raw[1] == '{"kind": "consistency", "ids": [0, 1]}'
+        assert [json.loads(line) for line in raw] == [
+            {"kind": "ml", "ids": [0, 1]}, {"kind": "consistency", "ids": [0, 1]},
+            {"kind": "cl", "ids": [0, 2]}]
+        assert ledger.total == len(raw)
 
     def test_simulated_queries_reach_the_transcript(self, tmp_path):
         path = tmp_path / "t.jsonl"
         oracle = SimulatedOracle({0: "a", 1: "a", 2: "b"},
                                  ledger=QueryLedger(transcript_path=str(path)))
-        consistency_repeat(oracle, ml_query([0, 1, 2]), alpha=2)
+        assert consistency_repeat(oracle, ml_query([0, 1]), alpha=2)
+        assert not consistency_repeat(oracle, ml_query([0, 1, 2]), alpha=2)
         oracle.query_cl_membership(CLMembershipQuery(
             set_ids=(0,), set_texts=("t",), candidate_id=2, candidate_text="u"))
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(lines) == oracle.ledger.total == 3
-        assert [e["repeat"] for e in lines] == [0, 1, 0]
-        assert lines[0]["groups"] == [[0, 1], [2]]
-        assert lines[2]["matched"] is None
+        assert len(lines) == oracle.ledger.total == 4
+        assert [e["kind"] for e in lines] == ["consistency"] * 3 + ["cl"]
+        assert [e["repeat"] for e in lines] == [0, 1, 0, 0]
+        assert lines[2]["groups"] == [[0, 1], [2]]
+        assert lines[3]["matched"] is None
 
     def test_largest_query_counts_answered_texts(self):
         # an ML query counts its texts, a CL query its members plus the
@@ -382,9 +414,8 @@ class TestLedger:
         assert sim.ledger.max_query_texts == 5
         sim.query_ml_group(ml_query([4, 5]))
         assert sim.ledger.max_query_texts == 5
-        remote = RemoteOracle(model="m", send=lambda p: "NONE", backoff=0)
-        remote.query_cl_membership(CLMembershipQuery(
-            set_ids=(0, 1), set_texts=("t", "t"), candidate_id=2, candidate_text="u"))
+        remote = RemoteOracle(model="m", send=lambda p: "GROUP: 0, 1, 2", backoff=0)
+        remote.query_ml_group(ml_query([0, 1, 2]))
         assert remote.ledger.max_query_texts == 3
         with pytest.raises(OracleBackendError):
             remote.query_ml_group(ml_query(list(range(9))))
