@@ -308,7 +308,30 @@ def consolidate_ml_sets(data: EmbeddedDataset, oracle, ml_sets: list[MLSet],
 MAX_THRESHOLD_PROBES = 16
 
 
-def _search_class(data, oracle, candidates: list[MLSet], alpha: int) -> float:
+def _probe_ids(points: np.ndarray, members: tuple[int, ...], m_max: int) -> tuple[int, ...]:
+    """The members a threshold probe sends: ``members`` itself when it has at
+    most ``m_max``, else a farthest-first subset of ``m_max`` (Gonzalez 1985),
+    ascending. The traversal starts at the lowest member and adds the member
+    farthest, by exact ``sq_dist``, from those chosen so far (ties to the
+    lowest); chosen members read -inf, so coincident points add new ids.
+    Its diameter is at least half the set's."""
+    if len(members) <= m_max:
+        return members
+    ids = np.sort(members)
+    sub = points[ids]
+    far = sq_dist(sub, sub[:1])[:, 0]
+    far[0] = -np.inf
+    chosen = [0]
+    while len(chosen) < m_max:
+        chosen.append(int(far.argmax()))
+        np.minimum(far, sq_dist(sub, sub[chosen[-1:]])[:, 0], out=far)
+        far[chosen[-1]] = -np.inf
+    return tuple(ids[np.sort(chosen)].tolist())
+
+
+def _search_class(data, oracle, candidates: list[MLSet], alpha: int, m_max: int) -> float:
+    """Binary search of one arity class, probing ``_probe_ids`` of each
+    candidate (see ``compute_hard_thresholds``)."""
     if not candidates:
         return 0.0
     by_diameter: dict[float, MLSet] = {}
@@ -325,7 +348,8 @@ def _search_class(data, oracle, candidates: list[MLSet], alpha: int) -> float:
     # assumes consistency is monotone in the diameter
     while lo <= hi:
         mid = (lo + hi) // 2
-        if consistency_repeat(oracle, _query(data, by_diameter[psis[mid]].members), alpha):
+        probe = _probe_ids(data.points, by_diameter[psis[mid]].members, m_max)
+        if consistency_repeat(oracle, _query(data, probe), alpha):
             best = mid
             lo = mid + 1
         else:
@@ -333,22 +357,25 @@ def _search_class(data, oracle, candidates: list[MLSet], alpha: int) -> float:
     return psis[best] if best >= 0 else 0.0
 
 
-def compute_hard_thresholds(data: EmbeddedDataset, oracle,
-                            candidates: list[MLSet]) -> ThresholdResult:
+def compute_hard_thresholds(data: EmbeddedDataset, oracle, candidates: list[MLSet],
+                            m_max: int) -> ThresholdResult:
     """Binary search the largest diameter per arity class whose candidate the
     oracle keeps answering as one group.
 
     Candidates of each class are ordered by distinct diameter; a probe is
-    ``consistency_repeat`` of the candidate's members with ``ALPHA_PAIR``
-    (pairs) or ``ALPHA_SET`` (larger sets) repeats, and passes only when
-    every repeat returns the whole set as one group. A class with no
-    candidates, or whose smallest diameter already fails, gets threshold 0.
+    ``consistency_repeat`` with ``ALPHA_PAIR`` (pairs) or ``ALPHA_SET``
+    (larger sets) repeats of at most ``m_max`` of the candidate's members
+    (all of them when they fit, else the farthest-first subset of
+    ``_probe_ids``), and passes only when every repeat returns those texts as
+    one group. The thresholds are the candidates' own diameters. A class
+    with no candidates, or whose smallest diameter already fails, gets
+    threshold 0.
     """
     pairs = [c for c in candidates if len(c.members) == 2]
     sets_ = [c for c in candidates if len(c.members) >= 3]
     return ThresholdResult(
-        psi_pair=_search_class(data, oracle, pairs, ALPHA_PAIR),
-        psi_set=_search_class(data, oracle, sets_, ALPHA_SET),
+        psi_pair=_search_class(data, oracle, pairs, ALPHA_PAIR, m_max),
+        psi_set=_search_class(data, oracle, sets_, ALPHA_SET, m_max),
     )
 
 

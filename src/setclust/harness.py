@@ -102,9 +102,10 @@ def generate_constraints(data: EmbeddedDataset, oracle, k: int, seed: int,
                          m_max: int = constraints.DEFAULT_M_MAX) -> ConstraintCollection:
     """Stage 1: grid-driven ML candidates, thresholds, and radius-gated CL sets.
 
-    At most k CL sets are grown, each in rounds of one grouping query of at
-    most ``m_max`` texts, which bounds the CL query budget while still giving
-    the local search cross-cluster separation evidence.
+    Every query sends at most ``m_max`` texts: grid-cell chunks,
+    consolidation segments, threshold probes (a farthest-first subset of a
+    larger candidate) and CL rounds alike. At most k CL sets are grown,
+    which still gives the local search cross-cluster separation evidence.
     ``k`` and ``m_max`` are checked before the oracle is asked anything.
     """
     check_generation(data, k, m_max)
@@ -114,7 +115,7 @@ def generate_constraints(data: EmbeddedDataset, oracle, k: int, seed: int,
     ml_candidates = constraints.generate_ml_sets(data, oracle, grid, m_max=m_max)
     ml_candidates = constraints.consolidate_ml_sets(data, oracle, ml_candidates,
                                                     kcr.cost, m_max=m_max)
-    thresholds = constraints.compute_hard_thresholds(data, oracle, ml_candidates)
+    thresholds = constraints.compute_hard_thresholds(data, oracle, ml_candidates, m_max)
     ml_sets = constraints.classify_hard_soft(ml_candidates, thresholds)
     cl_sets, rejections = constraints.generate_cl_sets(data, oracle, kcr.cost, k, seed,
                                                        max_sets=k, m_max=m_max)

@@ -269,7 +269,7 @@ class TestComputeHardThresholds:
         diameters = [0.1, 0.3, 0.4, 0.6, 0.9]
         data = self._pair_data(diameters)
         res = compute_hard_thresholds(data, sim_oracle(data),
-                                      self._pair_candidates(data, diameters))
+                                      self._pair_candidates(data, diameters), m_max=10)
         assert res.psi_pair == pytest.approx(0.9)
         assert res.psi_set == 0.0  # no size->=3 candidates
 
@@ -278,7 +278,7 @@ class TestComputeHardThresholds:
         data = self._pair_data(diameters)
         stub = _ThresholdStubOracle(data, cutoff=0.5)
         res = compute_hard_thresholds(data, stub,
-                                      self._pair_candidates(data, diameters))
+                                      self._pair_candidates(data, diameters), m_max=10)
         assert res.psi_pair == pytest.approx(0.4)
         # at most ceil(log2(5)) + 1 probes
         assert stub.probes <= 4
@@ -291,13 +291,73 @@ class TestComputeHardThresholds:
         data = self._pair_data(diameters)
         stub = _ThresholdStubOracle(data, cutoff=0.05)
         res = compute_hard_thresholds(data, stub,
-                                      self._pair_candidates(data, diameters))
+                                      self._pair_candidates(data, diameters), m_max=10)
         assert res.psi_pair == 0.0
 
     def test_empty_candidates(self):
         data = make_dataset([[0.0], [1.0]], labels=[0, 1])
-        res = compute_hard_thresholds(data, sim_oracle(data), [])
+        res = compute_hard_thresholds(data, sim_oracle(data), [], m_max=10)
         assert res.psi_pair == 0.0 and res.psi_set == 0.0
+
+    @pytest.mark.parametrize("m_max", [2, 3, 10])
+    def test_probes_send_at_most_m_max_texts(self, m_max):
+        # one set of 40 members and one pair; the threshold is still the
+        # large candidate's own diameter
+        rng = np.random.default_rng(m_max)
+        data = make_dataset(rng.normal(size=(42, 3)), labels=[0] * 42)
+        big = tuple(range(40))
+        cands = [MLSet(members=big, diameter=set_diameter(data.points, big)),
+                 MLSet(members=(40, 41), diameter=set_diameter(data.points, (40, 41)))]
+        oracle = sim_oracle(data)
+        sent = []
+        ask = oracle.query_ml_group
+
+        def spy(query, repeat=0, kind="ml"):
+            sent.append(query.ids)
+            return ask(query, repeat=repeat, kind=kind)
+
+        oracle.query_ml_group = spy
+        res = compute_hard_thresholds(data, oracle, cands, m_max=m_max)
+        assert res.psi_set == cands[0].diameter
+        assert res.psi_pair == cands[1].diameter
+        probe = constraints._probe_ids(data.points, big, m_max)
+        assert len(probe) == m_max
+        assert set(sent) == {probe, (40, 41)}
+
+
+def _probe_points(rng, n: int, d: int, layout: str, offset: float) -> np.ndarray:
+    if layout == "same":  # every point coincides
+        return np.broadcast_to(offset + rng.normal(size=d), (n, d)).copy()
+    return hard_points(rng, n, d, layout, offset)
+
+
+class TestProbeIds:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80), d=st.integers(1, 6),
+           layout=st.sampled_from(["grid", "dup", "near", "same"]),
+           offset=st.sampled_from([0.0, 1e3, 1e6]), m_max=st.integers(2, 12),
+           data=st.data())
+    def test_farthest_first_subset(self, seed, n, d, layout, offset, m_max, data):
+        rng = np.random.default_rng(seed)
+        points = _probe_points(rng, n, d, layout, offset)
+        size = data.draw(st.integers(2, n))
+        members = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+        probe = constraints._probe_ids(points, members, m_max)
+        assert len(probe) == len(set(probe)) == min(m_max, size)
+        assert list(probe) == sorted(probe)
+        assert set(probe) <= set(members)
+        assert probe[0] == members[0]
+        if size <= m_max:
+            assert probe == members
+        # farthest-first: the second pick alone is at least half the
+        # diameter away from the first (up to rounding of the two readings)
+        assert 2 * set_diameter(points, probe) >= set_diameter(points, members) * (1 - 1e-12)
+        assert constraints._probe_ids(points, members, m_max) == probe
+
+    def test_ties_go_to_the_lowest_position(self):
+        # every point coincides, so each pick is a tie among the unchosen
+        points = np.zeros((30, 4))
+        assert constraints._probe_ids(points, tuple(range(5, 30)), 10) == tuple(range(5, 15))
 
 
 class TestClassifyHardSoft:

@@ -1,6 +1,7 @@
 """Experiment harness: constraint generation, runs, evaluation, reports."""
 
 import csv
+import itertools
 import json
 import math
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hard_points, make_dataset
-from oracles import consistency_repeat_all
+from oracles import consistency_repeat_all, probe_ids_whole
 from setclust import clustering, constraints, geometry, harness
 from setclust.constraints import (
     CLSet,
@@ -239,6 +240,60 @@ class TestGenerateConstraints:
             assert (gaps[np.triu_indices(len(members), 1)] > cost_kc).all()
             if p == 0:
                 assert len(set(labels[members].tolist())) == len(members)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), d=st.integers(1, 6),
+           layout=st.sampled_from(["grid", "dup", "near"]),
+           offset=st.sampled_from([0.0, 1e3, 1e6]), k=st.integers(2, 30),
+           m_max=st.integers(2, 12), p=st.sampled_from([0.0, 0.1, 0.3]))
+    def test_every_query_within_budget(self, seed, n, d, layout, offset, k, m_max, p):
+        # every query of the whole generation spied on at the oracle: grid
+        # chunks, consolidation segments and bridges, threshold probes and
+        # CL rounds
+        rng = np.random.default_rng(seed)
+        points = hard_points(rng, n, d, layout, offset)
+        labels = rng.integers(0, 8, size=n)
+        data = make_dataset(points, labels=labels)
+        oracle = SimulatedOracle(dict(enumerate(labels.tolist())), error_rate=p,
+                                 seed=seed % 1000)
+        sent = []
+        ask = oracle.query_ml_group
+
+        def spy(query, repeat=0, kind="ml"):
+            sent.append(len(query.ids))
+            return ask(query, repeat=repeat, kind=kind)
+
+        oracle.query_ml_group = spy
+        harness.generate_constraints(data, oracle, k=min(k, n), seed=seed % 1000, m_max=m_max)
+        assert len(sent) == oracle.ledger.total
+        assert all(2 <= texts <= m_max for texts in sent)
+        assert oracle.ledger.max_query_texts <= m_max
+
+    def test_capped_probes_pass_fewer_impure_hard_sets(self, monkeypatch):
+        # under pairwise noise closed transitively, a whole two-topic
+        # candidate is glued into one group and passes as a probe; an m_max
+        # subset of it has fewer cross-topic pairs to glue it. Every cell of
+        # the grid, capped probes against whole-candidate probes: no cell
+        # holds more hard ML sets that span two labels, and the grid fewer
+        def impure_hard(n, k, separation, p, seed):
+            data = generate_synthetic(SyntheticSpec(k_true=k, n=n, dim=16,
+                                                    separation=separation, seed=seed))
+            oracle = harness.make_oracle(sim_config(k=k, oracle_error_rate=p,
+                                                    oracle_seed=seed), data)
+            truth = data.labels()
+            coll = harness.generate_constraints(data, oracle, k=k, seed=seed)
+            return sum(len({truth[m] for m in s.members}) > 1 for s in coll.ml_sets if s.hard)
+
+        capped, whole = [], []
+        for cell in itertools.product([300], [6, 30], [1.5, 2.0], [0.05, 0.1, 0.2, 0.3],
+                                      [0, 1]):
+            capped.append(impure_hard(*cell))
+            with monkeypatch.context() as patch:
+                patch.setattr(constraints, "_probe_ids", probe_ids_whole)
+                whole.append(impure_hard(*cell))
+        assert len(capped) == 32
+        assert all(c <= w for c, w in zip(capped, whole))
+        assert sum(capped) < sum(whole)
 
     @pytest.mark.parametrize("k, m_max", [(1, 10), (3, 1)])
     def test_bad_k_or_m_max_rejected_before_any_query(self, blob_data, k, m_max):
