@@ -79,8 +79,8 @@ class ClusteringResult:
     objective: float
     iterations: int
     converged: bool
+    penalties: Penalties
     degenerate_seeding: bool = False
-    penalties: Penalties | None = None
     # release-gain values observed during CL local search, for auditing
     min_gain_seen: float = field(default=np.inf)
     # rows the nearest-center kernel re-decided by exact differences, for auditing
@@ -524,44 +524,38 @@ def resolve_penalties(data: EmbeddedDataset, k: int, seed: int,
     return Penalties(w_ml=base.objective / data.n, w_cl=base.objective / k)
 
 
-def _run(data: EmbeddedDataset, collection: ConstraintCollection,
-         penalties: Penalties | None, k: int, seed: int,
-         convergence: Convergence | None, use_hard: bool) -> ClusteringResult:
+def lsck_hc(data: EmbeddedDataset, collection: ConstraintCollection, penalties: Penalties,
+            k: int, seed: int, convergence: Convergence | None = None) -> ClusteringResult:
+    """Constrained clustering with hard and soft ML plus CL sets at the given
+    penalties: the one loop, which ``lsck`` and ``kmeans_baseline`` also run."""
     if not 1 <= k <= data.n:
         raise ValueError(f"k must be in [1, {data.n}]")
     conv = convergence if convergence is not None else Convergence()
     X = data.points
     frame = data.frame
     tol = conv.resolve_tol(frame)
-    pen = penalties
-    if pen is None:
-        # the baseline runs on the same data, so it reuses the resolved tol
-        pen = resolve_penalties(data, k, seed, Convergence(tol=tol, max_iters=conv.max_iters))
     # the frame serves every run on the data: this run counts from here
     redecided = frame.redecided
 
-    ml_sets = collection.ml_sets
-    if not use_hard:
-        ml_sets = [replace(s, hard=False) for s in ml_sets]
-    start = seed_and_group(data, ml_sets, pen, k, seed)
+    start = seed_and_group(data, collection.ml_sets, penalties, k, seed)
     centers, groups = start.centers, start.groups
 
     gain_trace: list[float] = []
     iterations = 0
     converged = False
     for _ in range(conv.max_iters):
-        labels = _assign(frame, groups, collection.cl_sets, centers, pen, gain_trace)
+        labels = _assign(frame, groups, collection.cl_sets, centers, penalties, gain_trace)
         new_centers = _update_centers(X, labels, centers)
         displacement = float(((new_centers - centers) ** 2).sum(axis=1).max())
         centers = new_centers
-        groups = build_groups(X, start.hard, start.soft, centers, pen.w_ml)
+        groups = build_groups(X, start.hard, start.soft, centers, penalties.w_ml)
         iterations += 1
         if displacement <= tol:
             converged = True
             break
     # final assignment against the final centers, so the reported labels and
     # centers are mutually consistent
-    labels = _assign(frame, groups, collection.cl_sets, centers, pen, gain_trace)
+    labels = _assign(frame, groups, collection.cl_sets, centers, penalties, gain_trace)
     return ClusteringResult(
         labels=labels,
         centers=centers,
@@ -569,29 +563,21 @@ def _run(data: EmbeddedDataset, collection: ConstraintCollection,
         iterations=iterations,
         converged=converged,
         degenerate_seeding=start.degenerate,
-        penalties=pen,
+        penalties=penalties,
         min_gain_seen=float(min(gain_trace)) if gain_trace else np.inf,
         redecided=frame.redecided - redecided,
     )
 
 
-def lsck_hc(data: EmbeddedDataset, collection: ConstraintCollection,
-            penalties: Penalties | None, k: int, seed: int,
-            convergence: Convergence | None = None) -> ClusteringResult:
-    """Full constrained clustering with hard and soft ML plus CL sets."""
-    return _run(data, collection, penalties, k, seed, convergence, use_hard=True)
-
-
-def lsck(data: EmbeddedDataset, collection: ConstraintCollection,
-         penalties: Penalties | None, k: int, seed: int,
-         convergence: Convergence | None = None) -> ClusteringResult:
-    """Variant treating every ML set as soft (no hard seeding representatives)."""
-    return _run(data, collection, penalties, k, seed, convergence, use_hard=False)
+def lsck(data: EmbeddedDataset, collection: ConstraintCollection, penalties: Penalties,
+         k: int, seed: int, convergence: Convergence | None = None) -> ClusteringResult:
+    """``lsck_hc`` with every ML set soft (no hard seeding representatives)."""
+    soft = replace(collection, ml_sets=[replace(s, hard=False) for s in collection.ml_sets])
+    return lsck_hc(data, soft, penalties, k, seed, convergence)
 
 
 def kmeans_baseline(data: EmbeddedDataset, k: int, seed: int,
                     convergence: Convergence | None = None) -> ClusteringResult:
-    """Unconstrained k-means++ seeding plus Lloyd iterations: the constrained
-    loop with no constraint sets."""
-    return _run(data, ConstraintCollection(), Penalties(0.0, 0.0), k, seed, convergence,
-                use_hard=True)
+    """Unconstrained k-means++ seeding plus Lloyd iterations: ``lsck_hc``
+    with no constraint sets and zero penalties."""
+    return lsck_hc(data, ConstraintCollection(), Penalties(0.0, 0.0), k, seed, convergence)

@@ -115,6 +115,8 @@ class EmbeddedDataset:
 
 
 def read_corpus(path: str | Path) -> list[TextRecord]:
+    """The corpus's records; ``id`` and a non-null ``label`` must be JSON
+    integers, so that no value is truncated or coerced."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -123,9 +125,13 @@ def read_corpus(path: str | Path) -> list[TextRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                records.append(TextRecord(id=int(obj["id"]), text=str(obj["text"]),
-                                          label=None if obj.get("label") is None else int(obj["label"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                rid, label = obj["id"], obj.get("label")
+                if type(rid) is not int:
+                    raise ValueError(f"id must be an integer, got {rid!r}")
+                if label is not None and type(label) is not int:
+                    raise ValueError(f"label must be an integer, got {label!r}")
+                records.append(TextRecord(id=rid, text=str(obj["text"]), label=label))
+            except (ValueError, KeyError, TypeError) as exc:
                 raise DatasetError(f"malformed corpus line {lineno}: {exc}") from exc
     return records
 

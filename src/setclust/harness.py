@@ -152,13 +152,17 @@ def fsc_equivalent_queries(ml_sets: list[MLSet], cl_sets: list[CLSet],
 
 def run_algorithm(data: EmbeddedDataset, collection: ConstraintCollection,
                   config: ExperimentConfig, seed: int) -> clustering.ClusteringResult:
+    """One run of ``config.algorithm`` at ``seed``. "auto" penalties are
+    resolved here by ``resolve_penalties``; ``kmeanspp`` takes none."""
     conv = clustering.Convergence(tol=config.tol, max_iters=config.max_iters)
-    pen = None if config.penalties == "auto" else clustering.Penalties(*config.penalties)
-    if config.algorithm == "lsck_hc":
-        return clustering.lsck_hc(data, collection, pen, config.k, seed, conv)
-    if config.algorithm == "lsck":
-        return clustering.lsck(data, collection, pen, config.k, seed, conv)
-    return clustering.kmeans_baseline(data, config.k, seed, conv)
+    if config.algorithm == "kmeanspp":
+        return clustering.kmeans_baseline(data, config.k, seed, conv)
+    if config.penalties == "auto":
+        pen = clustering.resolve_penalties(data, config.k, seed, conv)
+    else:
+        pen = clustering.Penalties(*config.penalties)
+    run = clustering.lsck_hc if config.algorithm == "lsck_hc" else clustering.lsck
+    return run(data, collection, pen, config.k, seed, conv)
 
 
 def result_to_doc(result: clustering.ClusteringResult, config: ExperimentConfig,
@@ -185,11 +189,16 @@ def result_to_doc(result: clustering.ClusteringResult, config: ExperimentConfig,
 def run_experiment(data: EmbeddedDataset, pool: ConstraintCollection,
                    config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     """One result file per (ratio, seed); constraints are mixed per ratio.
-    Auto penalties do not depend on the constraints, so each seed resolves
-    them in its first run only; result files still say "auto"."""
+    A pool member outside the data, or a CL set wider than k, is rejected
+    before ``out_dir`` is made. Auto penalties do not depend on the
+    constraints, so each seed resolves them in its first run only; result
+    files still say "auto"."""
     top = max((max(s.members) for s in [*pool.ml_sets, *pool.cl_sets]), default=-1)
     if top >= data.n:
         raise ValueError(f"constraint member {top} is out of range for {data.n} points")
+    widest = max((len(s.members) for s in pool.cl_sets), default=0)
+    if widest > config.k:
+        raise ValueError(f"CL set has {widest} members but only {config.k} centers")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -151,14 +151,13 @@ class SimulatedOracle:
     queries or repeat indices flip independently when error_rate > 0.
     """
 
-    def __init__(self, labels_by_id: dict[int, int], error_rate: float = 0.0, seed: int = 0,
-                 ledger: QueryLedger | None = None):
+    def __init__(self, labels_by_id: dict[int, int], error_rate: float = 0.0, seed: int = 0):
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError("error_rate must lie in [0, 1]")
         self.labels = dict(labels_by_id)
         self.error_rate = error_rate
         self.seed = seed
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger()
 
     def _unit(self, *key) -> float:
         payload = json.dumps([self.seed, *key], sort_keys=True).encode()
@@ -259,12 +258,11 @@ class RemoteOracle:
     and each failed attempt is counted there too.
     """
 
-    def __init__(self, model: str, max_attempts: int = 3, backoff: float = 1.0,
-                 ledger: QueryLedger | None = None, send=None):
+    def __init__(self, model: str, max_attempts: int = 3, backoff: float = 1.0, send=None):
         self.model = model
         self.max_attempts = max_attempts
         self.backoff = backoff
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger()
         self._send = send if send is not None else self._http_send
 
     def _http_send(self, payload: dict) -> str:

@@ -407,7 +407,7 @@ def kmeans_baseline_loop(data, k: int, seed: int, convergence=None):
     own: the reference for ``kmeans_baseline``, which runs the constrained
     loop with no constraint sets."""
     from setclust.clustering import (
-        ClusteringResult, Convergence, _objective, _update_centers, kmeanspp_seed)
+        ClusteringResult, Convergence, Penalties, _objective, _update_centers, kmeanspp_seed)
     from setclust.geometry import nearest_center, point_frame
 
     if not 1 <= k <= data.n:
@@ -436,7 +436,7 @@ def kmeans_baseline_loop(data, k: int, seed: int, convergence=None):
     return ClusteringResult(labels=labels, centers=centers,
                             objective=_objective(X, labels, centers),
                             iterations=iterations, converged=converged,
-                            degenerate_seeding=degenerate)
+                            penalties=Penalties(0.0, 0.0), degenerate_seeding=degenerate)
 
 
 def partition_soft_set(points: np.ndarray, members: list[int], centers: np.ndarray,

@@ -79,10 +79,11 @@ def sweep():
             "constraint_ri": metrics.constraint_ri(pool, truth),
             "min_gain": np.inf,
         }
+        pen = clustering.resolve_penalties(data, K, seed)
         for ratio in (0.1, 0.2, 0.4):
             mixed = mix_constraints(pool.ml_sets, pool.cl_sets, ratio,
                                     data.n, seed=0)
-            res = clustering.lsck_hc(data, mixed, None, K, seed)
+            res = clustering.lsck_hc(data, mixed, pen, K, seed)
             row[f"acc{int(100 * ratio)}"] = metrics.acc_hungarian(res.labels, truth)
             row["min_gain"] = min(row["min_gain"], res.min_gain_seen)
             if ratio == 0.2:
@@ -229,7 +230,7 @@ def test_criterion_9_noise_robustness(sweep, capfd):
         truth = data.labels()
         pool = _make_pool(data, error_rate=0.2, seed=seed)
         mixed = mix_constraints(pool.ml_sets, pool.cl_sets, 0.2, data.n, seed=0)
-        res = clustering.lsck_hc(data, mixed, None, K, seed)
+        res = clustering.lsck_hc(data, mixed, clustering.resolve_penalties(data, K, seed), K, seed)
         soft.append(metrics.acc_hungarian(res.labels, truth))
         res = clustering.lsck_hc(data, mixed, Penalties(1e12, 1e12), K, seed)
         hard.append(metrics.acc_hungarian(res.labels, truth))

@@ -328,8 +328,9 @@ class TestErrors:
         ([{"members": [0, 1]}], "a constraint file holds a JSON object"),
         ({"cl": [{"members": [0, 45]}]}, "constraint member 45 is out of range for 45 points"),
         ({"ml": [{"members": [3, 99], "hard": False}]}, "constraint member 99 is out of range"),
+        ({"cl": [{"members": [0, 1, 2, 3]}]}, "CL set has 4 members but only 3 centers"),
     ], ids=["negative", "float", "bool", "no-hard", "string-hard", "no-members", "not-object",
-            "cl-member-n", "ml-member-above-n"])
+            "cl-member-n", "ml-member-above-n", "cl-wider-than-k"])
     def test_bad_constraint_file_rejected_before_output(self, workspace, tmp_path, capsys,
                                                         doc, match):
         cons = tmp_path / "cons.json"

@@ -170,11 +170,11 @@ def test_runs_match_center_dist_rule(monkeypatch, algorithm, data_seed):
           for _ in range(4)]
     collection = ConstraintCollection(ml_sets=ml, cl_sets=cl)
     data = make_dataset(points)
-    got = algorithm(data, collection, None, 6, data_seed)
+    got = algorithm(data, collection, resolve_penalties(data, 6, data_seed), 6, data_seed)
     monkeypatch.setattr(clustering, "nearest_center",
                         lambda frame, centers: nearest_exact(frame.points, centers))
     monkeypatch.setattr(clustering, "_seed", seed_compact_exact)
-    want = algorithm(data, collection, None, 6, data_seed)
+    want = algorithm(data, collection, resolve_penalties(data, 6, data_seed), 6, data_seed)
     assert np.array_equal(got.labels, want.labels)
     assert np.array_equal(got.centers, want.centers)
     assert got.iterations == want.iterations
@@ -229,7 +229,8 @@ class TestRedecided:
         ml = [MLSet(members=tuple(np.flatnonzero(labels == c)[:10].tolist()), hard=True)
               for c in range(10)]
         assert kmeans_baseline(data, k=10, seed=1).redecided == 0
-        assert lsck_hc(data, ConstraintCollection(ml_sets=ml), None, 10, 1).redecided == 0
+        pen = resolve_penalties(data, 10, 1)
+        assert lsck_hc(data, ConstraintCollection(ml_sets=ml), pen, 10, 1).redecided == 0
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
@@ -670,16 +671,3 @@ class TestPenalties:
         pen = resolve_penalties(data, k=4, seed=2)
         assert pen.w_ml == pytest.approx(base.objective / 25)
         assert pen.w_cl == pytest.approx(base.objective / 4)
-
-    def test_auto_penalties_resolve_tol_once(self, rng, monkeypatch):
-        computed = []
-        resolve_tol = Convergence.resolve_tol
-
-        def counting(self, frame):
-            computed.append(self.tol is None)
-            return resolve_tol(self, frame)
-
-        monkeypatch.setattr(Convergence, "resolve_tol", counting)
-        data = make_dataset(rng.normal(size=(40, 2)))
-        lsck_hc(data, ConstraintCollection(), None, k=3, seed=0)
-        assert computed.count(True) == 1

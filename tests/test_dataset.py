@@ -40,6 +40,20 @@ class TestLoadDataset:
             assert data.records[i].id == i
             assert data.text(i) == f"t{i}"
 
+    @pytest.mark.parametrize("row, match", [
+        ({"id": 1.9, "text": "t", "label": 0}, "id must be an integer, got 1.9"),
+        ({"id": True, "text": "t", "label": 0}, "id must be an integer, got True"),
+        ({"id": 1, "text": "t", "label": "0"}, "label must be an integer, got '0'"),
+        ({"id": 1, "text": "t", "label": 0.0}, "label must be an integer, got 0.0"),
+    ], ids=["float-id", "bool-id", "string-label", "float-label"])
+    def test_non_integer_id_or_label_names_its_line(self, tmp_path, row, match):
+        corpus = tmp_path / "c.jsonl"
+        emb = tmp_path / "e.bin"
+        _write_corpus_lines(corpus, [{"id": 0, "text": "t", "label": 0}, row])
+        write_embeddings(np.zeros((2, 2)), emb)
+        with pytest.raises(DatasetError, match=f"malformed corpus line 2: {match}"):
+            load_dataset(corpus, emb)
+
     def test_row_count_mismatch(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         emb = tmp_path / "e.bin"

@@ -422,6 +422,38 @@ class TestAutoPenaltiesPerSeed:
             assert path.read_bytes() == (tmp_path / "one_at_a_time" / path.name).read_bytes()
             assert json.loads(path.read_text())["config"]["penalties"] == "auto"
 
+    @pytest.mark.parametrize("algorithm", ["lsck_hc", "lsck"])
+    def test_auto_is_the_explicit_resolved_pair(self, algorithm):
+        data = grid_data()
+        pool = harness.generate_constraints(data, harness.make_oracle(sim_config(), data),
+                                            k=4, seed=0)
+        conv = clustering.Convergence(tol=None, max_iters=100)
+        for seed in (0, 2):
+            got = harness.run_algorithm(data, pool, sim_config(k=4, algorithm=algorithm), seed)
+            pen = clustering.resolve_penalties(data, 4, seed, conv)
+            want = getattr(clustering, algorithm)(data, pool, pen, 4, seed, conv)
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.centers, want.centers)
+            assert (got.objective, got.redecided, got.penalties) == (
+                want.objective, want.redecided, want.penalties)
+
+    def test_baseline_resolves_no_penalties(self, blob_data, tmp_path, monkeypatch):
+        calls = {"resolve_penalties": 0, "kmeans_baseline": 0}
+        for name in calls:
+            real = getattr(clustering, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(clustering, name, counting)
+        pool = harness.generate_constraints(blob_data, harness.make_oracle(sim_config(), blob_data),
+                                            k=3, seed=0)
+        written = harness.run_experiment(
+            blob_data, pool, sim_config(algorithm="kmeanspp", ratios=[0.0, 0.5]), tmp_path)
+        assert len(written) == 4
+        assert calls == {"resolve_penalties": 0, "kmeans_baseline": 4}
+
 
 def grid_data(points=None) -> EmbeddedDataset:
     """A doubled 5x5 integer grid, labelled by quadrant: nearest-center ties
@@ -463,7 +495,9 @@ class TestSharedFrame:
             if algorithm == "kmeans_baseline":
                 got, want = run(shared, 4, seed), run(grid_data(), 4, seed)
             else:
-                got, want = run(shared, pool, None, 4, seed), run(grid_data(), pool, None, 4, seed)
+                fresh = grid_data()
+                got = run(shared, pool, clustering.resolve_penalties(shared, 4, seed), 4, seed)
+                want = run(fresh, pool, clustering.resolve_penalties(fresh, 4, seed), 4, seed)
             assert got.redecided == want.redecided
             counts.append(got.redecided)
         assert min(counts) > 0
@@ -471,11 +505,11 @@ class TestSharedFrame:
 
     def test_reassigned_points_take_a_new_frame(self):
         data = grid_data()
-        empty = ConstraintCollection()
-        clustering.lsck_hc(data, empty, None, 4, 0)  # takes the frame of the grid
+        empty, zero = ConstraintCollection(), clustering.Penalties(0.0, 0.0)
+        clustering.lsck_hc(data, empty, zero, 4, 0)  # takes the frame of the grid
         data.points = data.points[:, ::-1] * 3.0 + 1e3
         fresh = grid_data(data.points.copy())
-        for run in (lambda d: clustering.lsck_hc(d, empty, None, 4, 0),
+        for run in (lambda d: clustering.lsck_hc(d, empty, zero, 4, 0),
                     lambda d: clustering.kmeans_baseline(d, 4, 1)):
             got, want = run(data), run(fresh)
             assert np.array_equal(got.labels, want.labels)

@@ -297,8 +297,8 @@ class TestRemoteOracle:
 
     def test_transcript_written(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        oracle = RemoteOracle(model="m", send=lambda p: "GROUP: 0, 1\n", backoff=0,
-                              ledger=QueryLedger(transcript_path=str(path)))
+        oracle = RemoteOracle(model="m", send=lambda p: "GROUP: 0, 1\n", backoff=0)
+        oracle.ledger = QueryLedger(transcript_path=str(path))
         oracle.query_ml_group(ml_query([0, 1]))
         lines = path.read_text().splitlines()
         assert len(lines) == 1
@@ -339,8 +339,8 @@ class TestRemoteRepeats:
     def test_repeats_list_texts_in_different_orders(self, tmp_path):
         sent = []
         path = tmp_path / "t.jsonl"
-        oracle = RemoteOracle(model="m", send=self.by_first_word(sent), backoff=0,
-                              ledger=QueryLedger(transcript_path=str(path)))
+        oracle = RemoteOracle(model="m", send=self.by_first_word(sent), backoff=0)
+        oracle.ledger = QueryLedger(transcript_path=str(path))
         query = MLGroupQuery(ids=tuple(range(10, 16)), texts=self.TEXTS)
         first = oracle.query_ml_group(query, repeat=0, kind="consistency")
         second = oracle.query_ml_group(query, repeat=1, kind="consistency")
@@ -390,8 +390,8 @@ class TestLedger:
 
     def test_simulated_queries_reach_the_transcript(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        oracle = SimulatedOracle({0: "a", 1: "a", 2: "b"},
-                                 ledger=QueryLedger(transcript_path=str(path)))
+        oracle = SimulatedOracle({0: "a", 1: "a", 2: "b"})
+        oracle.ledger = QueryLedger(transcript_path=str(path))
         assert consistency_repeat(oracle, ml_query([0, 1]), alpha=2)
         assert not consistency_repeat(oracle, ml_query([0, 1, 2]), alpha=2)
         oracle.query_cl_membership(CLMembershipQuery(
